@@ -29,12 +29,6 @@ _PALETTE = ("red", "blue", "forestgreen", "darkorange", "purple",
             "saddlebrown", "deeppink", "teal")
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _read_input(arg: str) -> str:
     if arg == "-":
         return sys.stdin.read()

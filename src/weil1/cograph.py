@@ -2,8 +2,8 @@
 ind+, cl and kappa that drive the morphism calculus.
 
 Vertices are labelled 1..n; a vertex set is an int bitmask with bit i-1 for
-vertex i.  Graphs are capped at 63 vertices: the derived constructions
-enumerate subsets, and the cap keeps that exponential cost model explicit.
+vertex i.  Graphs are capped at 63 vertices.  Every independence, product
+and clique test goes through one kernel, ``Graph.neighbourhood``.
 """
 
 from __future__ import annotations
@@ -12,6 +12,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 MAX_VERTICES = 63
+IND_PLUS_GUARD = 20
+
+
+class TooLarge(Exception):
+    """An enumeration guard tripped; the requested sweep is out of budget."""
 
 
 class NotACograph(ValueError):
@@ -54,6 +59,24 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    @cached_property
+    def complement(self) -> Graph:
+        return complement(self)
+
+    def neighbourhood(self, mask: int) -> int:
+        """Union of the neighbour masks of the vertices in ``mask``.
+
+        This is the one bitmask kernel: a set is independent when it misses
+        its own neighbourhood, and a monomial product u v survives when v
+        misses ``u | neighbourhood(u)``."""
+        adj = self.adjacency
+        nb = 0
+        while mask:
+            b = mask & -mask
+            nb |= adj[b.bit_length() - 1]
+            mask ^= b
+        return nb
+
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
@@ -83,13 +106,6 @@ def single_vertex_graph() -> Graph:
 # ---------------------------------------------------------------------------
 # vertex-set helpers
 
-def mask_of(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << (v - 1)
-    return m
-
-
 def vertices_of(mask: int) -> tuple[int, ...]:
     out = []
     v = 1
@@ -112,26 +128,12 @@ def format_mask(mask: int) -> str:
 
 
 def is_independent(g: Graph, mask: int) -> bool:
-    adj = g.adjacency
-    m = mask
-    while m:
-        b = m & -m
-        if adj[b.bit_length() - 1] & mask:
-            return False
-        m ^= b
-    return True
+    return not g.neighbourhood(mask) & mask
 
 
 def is_clique(g: Graph, mask: int) -> bool:
-    adj = g.adjacency
-    m = mask
-    while m:
-        b = m & -m
-        rest = mask ^ b
-        if adj[b.bit_length() - 1] & rest != rest:
-            return False
-        m ^= b
-    return True
+    """A clique of g is an independent set of its complement."""
+    return is_independent(g.complement, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +171,26 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
 
 def independent_sets(g: Graph, include_empty: bool = False) -> list[int]:
     """All independent sets as masks, sorted by (size, lexicographic members)."""
-    out = [m for m in range(1, g.full_mask + 1) if is_independent(g, m)]
-    out.sort(key=mask_key)
-    if include_empty:
-        out.insert(0, 0)
-    return out
+    out = cliques(g.complement)
+    return out if include_empty else out[1:]
 
 
 def cliques(g: Graph) -> list[int]:
-    """All cliques (including the empty one) as masks, canonically sorted."""
-    out = [m for m in range(g.full_mask + 1) if is_clique(g, m)]
+    """All cliques (including the empty one) as masks, canonically sorted.
+
+    Depth-first extension by higher-numbered common neighbours, so the cost
+    follows the number of cliques, not the 2^n subsets."""
+    adj = g.adjacency
+    out = [0]
+    stack = [(0, g.full_mask)]
+    while stack:
+        clique, cand = stack.pop()
+        m = cand
+        while m:
+            bit = m & -m
+            out.append(clique | bit)
+            stack.append((clique | bit, cand & adj[bit.bit_length() - 1] & ~((bit << 1) - 1)))
+            m ^= bit
     out.sort(key=mask_key)
     return out
 
@@ -191,31 +203,17 @@ class DerivedGraph:
     labels: tuple
 
 
-def ind_graph(g: Graph, include_empty: bool = False) -> DerivedGraph:
-    """Graph on the independent sets of g.
-
-    Two distinct sets are adjacent when they overlap or contain a pair of
-    vertices adjacent in g.
-    """
-    sets = independent_sets(g, include_empty)
-    adj = g.adjacency
+def ind_plus(g: Graph) -> DerivedGraph:
+    """ind+: the non-empty independent sets of g; two distinct sets are
+    adjacent when they overlap or contain a pair of vertices adjacent in g."""
+    sets = independent_sets(g)
     edges = set()
     for i, u in enumerate(sets):
-        nbhd = u
-        m = u
-        while m:
-            b = m & -m
-            nbhd |= adj[b.bit_length() - 1]
-            m ^= b
+        nbhd = g.neighbourhood(u) | u
         for j in range(i + 1, len(sets)):
             if sets[j] & nbhd:
                 edges.add((i + 1, j + 1))
     return DerivedGraph(Graph(len(sets), frozenset(edges)), tuple(sets))
-
-
-def ind_plus(g: Graph) -> DerivedGraph:
-    """ind+: the non-empty independent sets of g with the overlap-or-edge adjacency."""
-    return ind_graph(g, include_empty=False)
 
 
 def cl_graph(g: Graph) -> DerivedGraph:
@@ -230,20 +228,35 @@ def cl_graph(g: Graph) -> DerivedGraph:
     return DerivedGraph(Graph(len(cs), frozenset(edges)), tuple(cs))
 
 
-def kappa(g: Graph) -> DerivedGraph:
-    """kappa = cl(ind+): vertices are cliques of independent sets of g.
+def kappa_labels(g: Graph, guard: int = IND_PLUS_GUARD) -> tuple[tuple[int, ...], ...]:
+    """The vertices of kappa(g) in canonical order: each clique of ind+(g),
+    as the tuple of independent-set masks it collects.
 
-    Each vertex is labelled by the tuple of independent-set masks it collects;
-    morphisms from a one-generator algebra into k[g] correspond exactly to
-    these vertices.
+    Morphisms from a one-generator algebra into k[g] correspond exactly to
+    these vertices.  Raises TooLarge when ind+(g) has more than ``guard``
+    vertices, since the clique count can grow as 2^|ind+|.
     """
     ip = ind_plus(g)
-    cl = cl_graph(ip.graph)
-    labels = []
-    for clique_mask in cl.labels:
-        members = tuple(ip.labels[v - 1] for v in vertices_of(clique_mask))
-        labels.append(tuple(sorted(members, key=mask_key)))
-    return DerivedGraph(cl.graph, tuple(labels))
+    return _clique_labels(ip, cliques(_guarded(g, ip, guard)))
+
+
+def kappa(g: Graph) -> DerivedGraph:
+    """kappa = cl(ind+): vertices are cliques of independent sets of g,
+    labelled as in ``kappa_labels``."""
+    ip = ind_plus(g)
+    cl = cl_graph(_guarded(g, ip, IND_PLUS_GUARD))
+    return DerivedGraph(cl.graph, _clique_labels(ip, cl.labels))
+
+
+def _guarded(g: Graph, ip: DerivedGraph, guard: int) -> Graph:
+    """ip.graph, or TooLarge when it has more than ``guard`` vertices."""
+    if ip.graph.n > guard:
+        raise TooLarge(f"ind+ of a {g.n}-vertex graph has {ip.graph.n} vertices (> {guard})")
+    return ip.graph
+
+
+def _clique_labels(ip: DerivedGraph, cs) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(ip.labels[v - 1] for v in vertices_of(c)) for c in cs)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +282,6 @@ def find_induced_p4(g: Graph) -> tuple[int, ...] | None:
 
 def connected_components(g: Graph) -> list[int]:
     """Vertex masks of the connected components, by smallest member."""
-    adj = g.adjacency
     seen = 0
     comps = []
     for v in range(1, g.n + 1):
@@ -279,13 +291,7 @@ def connected_components(g: Graph) -> list[int]:
         comp = bit
         frontier = bit
         while frontier:
-            new = 0
-            m = frontier
-            while m:
-                b = m & -m
-                new |= adj[b.bit_length() - 1]
-                m ^= b
-            new &= ~comp
+            new = g.neighbourhood(frontier) & ~comp
             comp |= new
             frontier = new
         comps.append(comp)

@@ -105,12 +105,6 @@ def factors(t: Cotree) -> tuple[Cotree, ...]:
     return (t,)
 
 
-def join_parts(t: Cotree) -> tuple[Cotree, ...]:
-    if t.kind == "join":
-        return t.parts
-    return (t,)
-
-
 @lru_cache(maxsize=None)
 def realize(t: Cotree) -> Graph:
     """The cograph named by ``t``; leaf order gives the vertex labelling."""

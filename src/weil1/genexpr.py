@@ -244,12 +244,6 @@ def evaluate(e: GenExpr, rig: Rig = Rig.BOOL2) -> Morphism:
     return out
 
 
-def infer_types(e: GenExpr, rig: Rig = Rig.BOOL2) -> tuple[Cotree, Cotree]:
-    """Source and target cotrees of a well-typed expression."""
-    f = evaluate(e, rig)
-    return f.source.cotree, f.target.cotree
-
-
 # ---------------------------------------------------------------------------
 # small expression builders
 
@@ -447,25 +441,60 @@ class DecompositionTrace:
         return self.steps[-1][1]
 
 
+class _Trace:
+    """What one decomposition carries along: the memo of decomposed sub-maps
+    it reads and writes (None when traced) and its build log (None when
+    untraced)."""
+
+    __slots__ = ("memo", "steps")
+
+    def __init__(self, memo: dict | None, steps: list | None = None):
+        self.memo = memo
+        self.steps = steps
+
+
+# sub-maps repeat heavily across the maps of one hom-set, so untraced runs
+# share one memo; a traced run reads no memo, so every step is logged, also
+# a sub-map that comes up twice in one decomposition
+_MEMO: dict[Morphism, GenExpr] = {}
+
+
 def decompose(f: Morphism) -> GenExpr:
     """Canonical expression for ``f`` in the generating maps; round-trips
     through ``evaluate`` exactly."""
-    return _decompose(f, None)
+    return _decompose(f, _Trace(_MEMO))
 
 
 def decompose_with_trace(f: Morphism) -> tuple[GenExpr, DecompositionTrace]:
-    steps: list[tuple[str, GenExpr]] = []
-    e = _decompose(f, steps)
-    return e, DecompositionTrace(tuple(steps))
+    trace = _Trace(None, [])
+    e = _decompose(f, trace)
+    return e, DecompositionTrace(tuple(trace.steps))
 
 
-def _record(trace, tag: str, expr: GenExpr) -> GenExpr:
-    if trace is not None:
-        trace.append((tag, expr))
+def _record(trace: _Trace, tag: str, expr: GenExpr) -> GenExpr:
+    if trace.steps is not None:
+        trace.steps.append((tag, expr))
     return expr
 
 
-def _decompose(f: Morphism, trace) -> GenExpr:
+def _memoised(step):
+    """Look a sub-map up in the run's memo, if it has one, before decomposing it.
+
+    ``_split_slots`` and ``_decompose_flat`` agree on every map both accept
+    (a flat target), so they share the memo."""
+
+    def run(f: Morphism, trace: _Trace) -> GenExpr:
+        if trace.memo is None:
+            return step(f, trace)
+        e = trace.memo.get(f)
+        if e is None:
+            e = trace.memo[f] = step(f, trace)
+        return e
+
+    return run
+
+
+def _decompose(f: Morphism, trace: _Trace) -> GenExpr:
     if f.target.cotree.kind == "K":
         return _record(trace, "Projection", eps_expr(f.source.cotree))
     if f.source.cotree.kind == "K":
@@ -475,7 +504,7 @@ def _decompose(f: Morphism, trace) -> GenExpr:
     return _decompose_edgeless(f, trace)
 
 
-def _decompose_edgeless(f: Morphism, trace) -> GenExpr:
+def _decompose_edgeless(f: Morphism, trace: _Trace) -> GenExpr:
     if f.is_zero_map():
         expr = Compose(eta_expr(f.target.cotree), eps_expr(f.source.cotree))
         return _record(trace, "SplitCircles", expr)
@@ -494,21 +523,9 @@ def _recombiner_expr(counts: tuple[int, ...]) -> GenExpr:
     return out
 
 
-def _split_slots(f: Morphism, trace) -> GenExpr:
-    if trace is None:
-        return _split_slots_cached(f)
-    return _split_slots_impl(f, trace)
-
-
-@lru_cache(maxsize=None)
-def _split_slots_cached(f: Morphism) -> GenExpr:
-    return _split_slots_impl(f, None)
-
-
-def _split_slots_impl(f: Morphism, trace) -> GenExpr:
+@_memoised
+def _split_slots(f: Morphism, trace: _Trace) -> GenExpr:
     if all(p.kind != "join" for p in factors(f.target.cotree)):
-        if trace is None:
-            return _decompose_flat_cached(f)
         return _decompose_flat(f, trace)
     return _split_at_join(f, trace, "SplitCircles", _split_slots)
 
@@ -535,7 +552,7 @@ def _split_data(target: "mor.WeilObject"):
             mor.restriction_gen_map(p1), mor.restriction_gen_map(p2))
 
 
-def _split_at_join(f: Morphism, trace, tag: str, recurse) -> GenExpr:
+def _split_at_join(f: Morphism, trace: _Trace, tag: str, recurse) -> GenExpr:
     """Split the first product factor of the target through its pullback."""
     at, k1, k2, t1_obj, t2_obj, gm1, gm2 = _split_data(f.target)
     e1 = recurse(mor.compose_restriction(gm1, t1_obj, f), trace)
@@ -543,12 +560,8 @@ def _split_at_join(f: Morphism, trace, tag: str, recurse) -> GenExpr:
     return _record(trace, tag, Pair(e1, e2, at, k1, k2))
 
 
-@lru_cache(maxsize=None)
-def _decompose_flat_cached(f: Morphism) -> GenExpr:
-    return _decompose_flat(f, None)
-
-
-def _decompose_flat(f: Morphism, trace) -> GenExpr:
+@_memoised
+def _decompose_flat(f: Morphism, trace: _Trace) -> GenExpr:
     """Decompose a map with pairwise disjoint circles into a flat tensor of W's."""
     a = f.source.cotree
     if f.is_zero_map():
@@ -571,7 +584,7 @@ def _decompose_flat(f: Morphism, trace) -> GenExpr:
     return _tensor_split_source(f, trace)
 
 
-def _project_source(f: Morphism, trace) -> GenExpr:
+def _project_source(f: Morphism, trace: _Trace) -> GenExpr:
     """A disjoint-circle map out of a product lives in one factor."""
     a = f.source.cotree
     n1 = leaves(a.parts[0])
@@ -583,11 +596,11 @@ def _project_source(f: Morphism, trace) -> GenExpr:
     kept_obj = algebra_of(kept, f.rig)
     images = f.images[:n1] if side == 1 else f.images[n1:]
     sub = Morphism(kept_obj, f.target, tuple(images))
-    e = _decompose_flat(sub, trace) if trace is not None else _decompose_flat_cached(sub)
+    e = _decompose_flat(sub, trace)
     return _record(trace, "Projection", Compose(e, Proj(a, side)))
 
 
-def _tensor_split_source(f: Morphism, trace) -> GenExpr:
+def _tensor_split_source(f: Morphism, trace: _Trace) -> GenExpr:
     """Split a disjoint-circle map along the source tensor, then restore the
     target generator order with a flip network."""
     a = f.source.cotree
@@ -604,8 +617,8 @@ def _tensor_split_source(f: Morphism, trace) -> GenExpr:
     order = sorted(hit1) + sorted(hitrest) + sorted(unhit)
     f1 = _restrict(f, a1, range(1, n1 + 1), sorted(hit1))
     frest = _restrict(f, arest, range(n1 + 1, f.source.n + 1), sorted(hitrest))
-    e1 = _decompose_flat(f1, trace) if trace is not None else _decompose_flat_cached(f1)
-    erest = _decompose_flat(frest, trace) if trace is not None else _decompose_flat_cached(frest)
+    e1 = _decompose_flat(f1, trace)
+    erest = _decompose_flat(frest, trace)
     if unhit:
         base = Tensor(e1, Tensor(erest, eta_expr(n_tensor(len(unhit)))))
     else:
@@ -667,7 +680,7 @@ def expand_ghat(e: GenExpr) -> GenExpr:
     if isinstance(e, Compose):
         return Compose(expand_ghat(e.outer), expand_ghat(e.inner))
     if isinstance(e, Pair):
-        return Pair(expand_ghat(e.e1), expand_ghat(e.e2), e.at)
+        return Pair(expand_ghat(e.e1), expand_ghat(e.e2), e.at, e.k1, e.k2)
     return e
 
 

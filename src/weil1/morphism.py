@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from . import rig as rig_mod
 from .rig import Rig, psi
-from .cograph import Graph, mask_key
+from .cograph import Graph, is_independent, mask_key
 from .cotree import Cotree, K, W, factors, join, leaves, n_join, n_tensor, tensor
 from .weilalg import (
     Polynomial,
@@ -413,17 +413,11 @@ def generators(rig: Rig = Rig.BOOL2) -> dict[str, Morphism]:
 
 
 def ghat(r: int, rig: Rig = Rig.NAT) -> Morphism:
-    """The coefficient map W -> W with x -> r x, built by pairing and addition."""
+    """The coefficient map W -> W with x -> r x (x -> psi(r) x over {0,1})."""
     if r < 0:
         raise ValueError("ghat needs a natural number")
-    gens = generators(rig)
     w = algebra_of(W, rig)
-    if r == 0:
-        return compose(gens["eta_W"], gens["eps_W"])
-    out = identity(w)
-    for _ in range(r - 1):
-        out = compose(gens["plus_W"], pair(identity(w), out))
-    return out
+    return make(w, w, [{1: r if rig is Rig.NAT else psi(r)}])
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +483,7 @@ def kleisli_compose(m2: KleisliMap, m1: KleisliMap) -> KleisliMap:
                         if prev & q:
                             continue
                         union = prev | q
-                        if _mask_independent(tgt, union):
+                        if is_independent(tgt, union):
                             nxt.add(union)
                 partial = nxt
                 if not partial:
@@ -498,17 +492,6 @@ def kleisli_compose(m2: KleisliMap, m1: KleisliMap) -> KleisliMap:
             result.update(mk for mk in partial if mk)
         out.append(tuple(sorted(result, key=mask_key)))
     return KleisliMap(m1.source, tgt, tuple(out))
-
-
-def _mask_independent(g: Graph, mask: int) -> bool:
-    adj = g.adjacency
-    m = mask
-    while m:
-        bit = m & -m
-        if adj[bit.bit_length() - 1] & mask:
-            return False
-        m ^= bit
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .rig import Rig
-from .cograph import Graph, ind_plus, mask_key, vertices_of
+from .cograph import (
+    IND_PLUS_GUARD, Graph, TooLarge, cliques, ind_plus, is_clique, kappa_labels, vertices_of,
+)
 from .cotree import Cotree, K, W, cotree_decompose, format_cotree, join, n_join, n_tensor, tensor
 from .weilalg import WeilObject, algebra_of, dict_mul, poly
 from . import morphism as mor
@@ -26,54 +28,12 @@ from .morphism import Morphism, RigMismatch, TypeMismatch
 from .genexpr import SlotAssignment, circles_of
 
 
-class TooLarge(Exception):
-    """An enumeration guard tripped; the requested sweep is out of budget."""
-
-
 class ChoiceAmbiguous(Exception):
     """A circle can be traced through a factorization in more than one way."""
 
 
 # ---------------------------------------------------------------------------
-# clique enumeration and hom-sets
-
-def all_cliques(g: Graph) -> list[int]:
-    """Every clique of g (including the empty one) as masks, by DFS extension."""
-    adj = g.adjacency
-    out = [0]
-    stack = [(0, g.full_mask)]
-    while stack:
-        clique, cand = stack.pop()
-        m = cand
-        while m:
-            bit = m & -m
-            v = bit.bit_length() - 1
-            out.append(clique | bit)
-            stack.append((clique | bit, cand & adj[v] & ~((bit << 1) - 1)))
-            m ^= bit
-    return out
-
-
-def count_cliques(g: Graph, cap: int | None = None) -> int:
-    adj = g.adjacency
-    count = 1
-    stack = [(0, g.full_mask)]
-    while stack:
-        clique, cand = stack.pop()
-        m = cand
-        while m:
-            bit = m & -m
-            v = bit.bit_length() - 1
-            count += 1
-            if cap is not None and count > cap:
-                raise TooLarge(f"more than {cap} candidate images")
-            stack.append((clique | bit, cand & adj[v] & ~((bit << 1) - 1)))
-            m ^= bit
-    return count
-
-
-IND_PLUS_GUARD = 20
-
+# hom-sets
 
 @lru_cache(maxsize=None)
 def kappa_candidates(t: Cotree, guard: int = IND_PLUS_GUARD) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -81,31 +41,8 @@ def kappa_candidates(t: Cotree, guard: int = IND_PLUS_GUARD) -> tuple[tuple[tupl
     i.e. the vertices of kappa of its graph, as sorted term tuples."""
     from .cotree import realize
 
-    g = realize(t)
-    ip = ind_plus(g)
-    if ip.graph.n > guard:
-        raise TooLarge(
-            f"ind+ of {format_cotree(t)} has {ip.graph.n} vertices (> {guard})"
-        )
-    labels = ip.labels
-    by_key = sorted(range(ip.graph.n), key=lambda i: mask_key(labels[i]))
-    rank_of = [0] * ip.graph.n
-    for r, i in enumerate(by_key):
-        rank_of[i] = r
-    ranked_labels = [labels[i] for i in by_key]
-    keyed = []
-    for clique in all_cliques(ip.graph):
-        ranks = []
-        m = clique
-        while m:
-            bit = m & -m
-            ranks.append(rank_of[bit.bit_length() - 1])
-            m ^= bit
-        ranks.sort()
-        keyed.append((len(ranks), tuple(ranks)))
-    keyed.sort()
     return tuple(
-        tuple((ranked_labels[r], 1) for r in ranks) for _, ranks in keyed
+        tuple((mask, 1) for mask in label) for label in kappa_labels(realize(t), guard)
     )
 
 
@@ -172,28 +109,18 @@ def count_graph_maps(a: Cotree, b: Cotree) -> int:
     """Number of graph maps G_a -> kappa(G_b): vertex assignments under which
     adjacent vertices land on equal or adjacent kappa vertices.
 
-    This is the purely graph-level side of the hom bijection; adjacency in
-    kappa means the union of the two cliques of ind+ is again a clique.
+    This is the purely graph-level side of the hom bijection; two kappa
+    vertices are adjacent when the union of their cliques of ind+ is again a
+    clique.
     """
     from .cotree import realize
 
     ga = realize(a)
-    ip = ind_plus(realize(b))
-    verts = all_cliques(ip.graph)
-    ipadj = ip.graph.adjacency
-
-    def is_ip_clique(mask: int) -> bool:
-        m = mask
-        while m:
-            bit = m & -m
-            rest = mask ^ bit
-            if rest & ~ipadj[bit.bit_length() - 1]:
-                return False
-            m ^= bit
-        return True
+    ipg = ind_plus(realize(b)).graph
+    verts = cliques(ipg)
 
     def kappa_ok(u: int, v: int) -> bool:
-        return u == v or is_ip_clique(u | v)
+        return u == v or is_clique(ipg, u | v)
 
     if ga.n == 0:
         return 1
@@ -471,12 +398,15 @@ def check_equalizer(max_vertices: int = 3) -> AxiomReport:
         cones = 0
         good = True
         detail = ""
-        factor_pool = enumerate_hom(a, w2).morphisms
+        factor_counts: dict[Morphism, int] = {}
+        for u in enumerate_hom(a, w2):
+            h = mor.compose(v, u, check=False)
+            factor_counts[h] = factor_counts.get(h, 0) + 1
         for h in enumerate_hom(a, ww):
             if mor.compose(lhs_arrow, h) != mor.compose(rhs_arrow, h):
                 continue
             cones += 1
-            n_factor = sum(1 for u in factor_pool if mor.compose(v, u) == h)
+            n_factor = factor_counts.get(h, 0)
             if n_factor != 1:
                 good = False
                 detail = f"cone {h!r} has {n_factor} factorizations"
@@ -913,13 +843,17 @@ def run_verify(max_vertices: int = 2, equalizer_max: int = 3) -> AxiomReport:
     results.extend(check_tangent_axioms(max_vertices).results)
     results.extend(check_equalizer(equalizer_max).results)
     objs = canonical_objects(max_vertices)
+    pullbacks: dict[tuple[Cotree, Cotree, Cotree], AxiomReport] = {}
     for b in objs:
         for a1 in objs:
             for a2 in objs:
-                rep = check_foundational_pullback(b, a1, a2, apex_max=max_vertices)
+                rep = pullbacks[b, a1, a2] = check_foundational_pullback(
+                    b, a1, a2, apex_max=max_vertices)
                 results.extend(rep.results)
     for m in (1, 2):
-        rep = check_foundational_pullback(n_tensor(m), W, W, apex_max=max_vertices)
+        rep = pullbacks.get((n_tensor(m), W, W))
+        if rep is None:
+            rep = check_foundational_pullback(n_tensor(m), W, W, apex_max=max_vertices)
         ok = rep.all_passed
         results.append(_result(f"tangent.Tm_preserves_pullback[m={m}]", ok,
                                "; ".join(r.ident for r in rep.failures())))

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 from . import rig as rig_mod
 from .rig import Rig
-from .cograph import Graph, mask_key, vertices_of
+from .cograph import Graph, is_independent, mask_key, vertices_of
 from .cotree import Cotree, realize, format_cotree
 from .cotree import join as join_tree, tensor as tensor_tree
 
@@ -42,10 +42,6 @@ class WeilObject:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        return self.graph.adjacency
 
     def __repr__(self) -> str:
         return f"WeilObject({format_cotree(self.cotree)}, {self.rig})"
@@ -87,29 +83,13 @@ def presentation(obj: WeilObject) -> str:
 
 def mono_mul(u: int, v: int, obj: WeilObject) -> int:
     """Product of two monomial masks in ``obj``; 0 when a square or relation hits."""
-    if u & v:
+    if (obj.graph.neighbourhood(u) | u) & v:
         return 0
-    adj = obj.adjacency
-    m = u
-    while m:
-        b = m & -m
-        if adj[b.bit_length() - 1] & v:
-            return 0
-        m ^= b
     return u | v
 
 
 def _mono_valid(mask: int, obj: WeilObject) -> bool:
-    if mask == 0 or mask > obj.graph.full_mask:
-        return False
-    adj = obj.adjacency
-    m = mask
-    while m:
-        b = m & -m
-        if adj[b.bit_length() - 1] & mask:
-            return False
-        m ^= b
-    return True
+    return 0 < mask <= obj.graph.full_mask and is_independent(obj.graph, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -241,38 +221,19 @@ def format_poly(p: Polynomial, letter: str = "y") -> str:
 
 def dict_mul(a: dict[int, int], b: dict[int, int], obj: WeilObject) -> dict[int, int]:
     """Product of constant-free term dicts in ``obj``."""
-    rig = obj.rig
-    adj = obj.adjacency
+    nb = obj.graph.neighbourhood
     out: dict[int, int] = {}
-    if rig is Rig.BOOL2:
+    if obj.rig is Rig.BOOL2:
         for mu in a:
+            kill = nb(mu) | mu
             for mv in b:
-                if mu & mv:
-                    continue
-                m = mu
-                dead = False
-                while m:
-                    bit = m & -m
-                    if adj[bit.bit_length() - 1] & mv:
-                        dead = True
-                        break
-                    m ^= bit
-                if not dead:
+                if not kill & mv:
                     out[mu | mv] = 1
     else:
         for mu, cu in a.items():
+            kill = nb(mu) | mu
             for mv, cv in b.items():
-                if mu & mv:
-                    continue
-                m = mu
-                dead = False
-                while m:
-                    bit = m & -m
-                    if adj[bit.bit_length() - 1] & mv:
-                        dead = True
-                        break
-                    m ^= bit
-                if not dead:
+                if not kill & mv:
                     key = mu | mv
                     out[key] = out.get(key, 0) + cu * cv
     return out

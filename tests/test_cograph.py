@@ -99,6 +99,38 @@ def test_independent_sets_against_oracle():
             assert cg.independent_sets(g, True) == brute_independent_sets(g, True)
 
 
+def brute_cliques(g):
+    # oracle: scan all 2^n vertex sets for pairwise adjacency
+    out = []
+    for mask in range(g.full_mask + 1):
+        vs = cg.vertices_of(mask)
+        if all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2)):
+            out.append(mask)
+    return sorted(out, key=cg.mask_key)
+
+
+def test_cliques_against_oracle():
+    for n in range(6):
+        for g in all_graphs(n):
+            assert cg.cliques(g) == brute_cliques(g)
+
+
+def test_neighbourhood_is_union_of_adjacency():
+    g = cg.graph(4, [(1, 2), (2, 3), (1, 4)])
+    assert g.neighbourhood(0) == 0
+    assert g.neighbourhood(0b0001) == 0b1010
+    assert g.neighbourhood(0b0101) == 0b1010
+    assert g.neighbourhood(0b0011) == 0b1111
+
+
+def test_kappa_guard():
+    with pytest.raises(cg.TooLarge):
+        cg.kappa(cg.graph(5))
+    with pytest.raises(cg.TooLarge):
+        cg.kappa_labels(cg.graph(4), guard=14)
+    assert len(cg.kappa_labels(cg.graph(4))) == 1376
+
+
 def test_ind_plus_examples():
     one = cg.ind_plus(cg.single_vertex_graph())
     assert one.graph.n == 1 and not one.graph.edges

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import weil1
 from weil1.rig import Rig
 from weil1 import cotree as ct
 from weil1 import dsl
@@ -166,6 +170,25 @@ def test_cli_syntax_error_exit_code(capsys):
 def test_cli_too_large_exit_code(capsys):
     code, _, err = run_cli(capsys, "hom", "W", "6W")
     assert code == 4
+
+
+def run_cli_process(*args, timeout):
+    # a fresh process, so that a hang fails the test instead of stalling it
+    src = os.path.dirname(os.path.dirname(weil1.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "weil1.cli", *args], capture_output=True,
+                          text=True, timeout=timeout, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_cli_kappa_guard_is_fast():
+    proc = run_cli_process("kappa", "5W", timeout=5)
+    assert proc.returncode == 4 and "too large" in proc.stderr
+
+
+def test_cli_large_ghat_is_fast():
+    proc = run_cli_process("evaluate", "--rig", "nat", "ghat(99999999)", timeout=5)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "f : W -> W ; x1 |-> 99999999 y1"
 
 
 def test_cli_compose(capsys):

@@ -208,6 +208,41 @@ def test_trace_records_coefficient_step():
     assert any(tag == "Coefficient" for tag, _ in trace.steps)
 
 
+def test_trace_is_full_after_untraced_decompose():
+    # decompose memoises sub-maps; a later traced run must still log them
+    w_nat = wa.algebra_of(ct.W, NAT)
+    f = mor.make(w_nat, wa.algebra_of(ct.tensor(ct.W, ct.join(ct.W, ct.n_tensor(2))), NAT),
+                 [{0b0011: 2, 0b1101: 3}])
+    e, first = ge.decompose_with_trace(f)
+    assert ge.decompose(f) == e
+    again, second = ge.decompose_with_trace(f)
+    assert again == e and second == first
+    tags = [tag for tag, _ in second.steps]
+    assert tags.count("Coefficient") == 2 and "SplitGeneral" in tags
+
+
+def test_trace_logs_repeated_sub_map_each_time():
+    # both tensor factors of the identity on W (x) W restrict to the same
+    # map W -> W; the trace logs its decomposition once per occurrence
+    f = mor.make(WW, WW, [{1: 1}, {2: 1}])
+    ge.decompose(f)
+    _, trace = ge.decompose_with_trace(f)
+    assert [tag for tag, _ in trace.steps] == ["OneCircle", "OneCircle", "NoIntersect", "SplitGeneral"]
+    assert ge.format_genexpr(trace.steps[0][1]) == "comp(id(W), id(W))"
+
+
+def test_expand_ghat_keeps_pairat_block_sizes():
+    # pairat with k2 > 1 needs a target with four generators
+    w_nat = wa.algebra_of(ct.W, NAT)
+    tgt = wa.algebra_of(ct.tensor(ct.W, ct.join(ct.W, ct.n_tensor(2))), NAT)
+    f = mor.make(w_nat, tgt, [{0b0011: 2, 0b1101: 3}])
+    e = ge.decompose(f)
+    assert "pairat(2, 1, 2, " in ge.format_genexpr(e)
+    expanded = ge.expand_ghat(e)
+    assert "ghat" not in ge.format_genexpr(expanded)
+    assert ge.evaluate(expanded, NAT) == f
+
+
 def test_perm_network():
     rnd = random.Random(5)
     for r in range(2, 6):
