@@ -36,8 +36,7 @@ class Graph:
     _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
-        if self.n < 0 or self.n > MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} out of range 0..{MAX_VERTICES}")
+        _check_vertex_count(self.n)
         for u, v in self.edges:
             if not (1 <= u < v <= self.n):
                 raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
@@ -83,6 +82,11 @@ class Graph:
     def __repr__(self) -> str:
         es = ",".join(f"{u}-{v}" for u, v in sorted(self.edges))
         return f"Graph({self.n}; {es})"
+
+
+def _check_vertex_count(n: int) -> None:
+    if n < 0 or n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} out of range 0..{MAX_VERTICES}")
 
 
 def graph(n: int, edges=()) -> Graph:
@@ -220,6 +224,7 @@ def cl_graph(g: Graph) -> DerivedGraph:
     """Graph on all cliques of g; distinct cliques are adjacent when their
     union is again a clique (no disjointness required)."""
     cs = cliques(g)
+    _check_vertex_count(len(cs))  # refuse an over-large result before the quadratic pair loop
     edges = set()
     for i, u in enumerate(cs):
         for j in range(i + 1, len(cs)):

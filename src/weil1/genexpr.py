@@ -41,28 +41,46 @@ class IllTyped(Exception):
 
 
 class GenExpr:
-    """Base class for decomposition expressions."""
+    """Base class for decomposition expressions.
 
-    __slots__ = ("_hash",)
+    Nodes are hash-consed: building a node whose class and fields match an
+    existing one returns that node, so equal expressions are one object,
+    equality and hashing are identity, and a shared subterm is stored once.
+    Nodes must not be mutated after construction."""
 
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __new__(cls, *fields):
+        """A node without child expressions: its fields are its key."""
+        if len(fields) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields")
+        return _intern(cls, (cls.__name__, *fields), fields)
 
     def __repr__(self) -> str:
         return f"GenExpr({format_genexpr(self)})"
 
 
+# every node ever built, keyed by its class name and fields, with child
+# expressions taken by id: a lookup costs one flat tuple hash however deep the
+# node is, and since the table keeps every node alive no id is ever reused.
+# A key holding no node is left alone by the cycle collector, which would
+# otherwise rescan one key tuple per node on every full collection.
+_NODES: dict[tuple, GenExpr] = {}
+
+
+def _intern(cls, key: tuple, fields: tuple) -> GenExpr:
+    node = _NODES.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            object.__setattr__(node, name, value)
+        _NODES[key] = node
+    return node
+
+
 class _Leaf(GenExpr):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("leaf", name))
-
-    def __eq__(self, other):
-        return isinstance(other, _Leaf) and self.name == other.name
-
-    __hash__ = GenExpr.__hash__
+    __slots__ = _fields = ("name",)
 
 
 Eps = _Leaf("eps")
@@ -73,75 +91,39 @@ C = _Leaf("c")
 
 
 class Id(GenExpr):
-    __slots__ = ("obj",)
-
-    def __init__(self, obj: Cotree):
-        self.obj = obj
-        self._hash = hash(("id", obj))
-
-    def __eq__(self, other):
-        return isinstance(other, Id) and self.obj == other.obj
-
-    __hash__ = GenExpr.__hash__
+    __slots__ = _fields = ("obj",)
 
 
 class Ghat(GenExpr):
     """Coefficient map x -> r x; only meaningful over NAT."""
 
-    __slots__ = ("r",)
+    __slots__ = _fields = ("r",)
 
-    def __init__(self, r: int):
+    def __new__(cls, r: int):
         if r < 0:
             raise ValueError("ghat needs a natural number")
-        self.r = r
-        self._hash = hash(("ghat", r))
-
-    def __eq__(self, other):
-        return isinstance(other, Ghat) and self.r == other.r
-
-    __hash__ = GenExpr.__hash__
+        return _intern(cls, ("Ghat", r), (r,))
 
 
 class Proj(GenExpr):
-    __slots__ = ("prod", "side")
-
-    def __init__(self, prod: Cotree, side: int):
-        self.prod = prod
-        self.side = side
-        self._hash = hash(("proj", prod, side))
-
-    def __eq__(self, other):
-        return isinstance(other, Proj) and self.prod == other.prod and self.side == other.side
-
-    __hash__ = GenExpr.__hash__
+    __slots__ = _fields = ("prod", "side")
 
 
-class Tensor(GenExpr):
-    __slots__ = ("e1", "e2")
+class _Binary(GenExpr):
+    """A node whose two fields are child expressions."""
 
-    def __init__(self, e1: GenExpr, e2: GenExpr):
-        self.e1 = e1
-        self.e2 = e2
-        self._hash = hash(("tensor", e1, e2))
+    __slots__ = ()
 
-    def __eq__(self, other):
-        return isinstance(other, Tensor) and self.e1 == other.e1 and self.e2 == other.e2
-
-    __hash__ = GenExpr.__hash__
+    def __new__(cls, a: GenExpr, b: GenExpr):
+        return _intern(cls, (cls.__name__, id(a), id(b)), (a, b))
 
 
-class Compose(GenExpr):
-    __slots__ = ("outer", "inner")
+class Tensor(_Binary):
+    __slots__ = _fields = ("e1", "e2")
 
-    def __init__(self, outer: GenExpr, inner: GenExpr):
-        self.outer = outer
-        self.inner = inner
-        self._hash = hash(("comp", outer, inner))
 
-    def __eq__(self, other):
-        return isinstance(other, Compose) and self.outer == other.outer and self.inner == other.inner
-
-    __hash__ = GenExpr.__hash__
+class Compose(_Binary):
+    __slots__ = _fields = ("outer", "inner")
 
 
 class Pair(GenExpr):
@@ -150,27 +132,10 @@ class Pair(GenExpr):
     block starting at position t (spanning ``k1`` factors of the first
     target and ``k2`` of the second)."""
 
-    __slots__ = ("e1", "e2", "at", "k1", "k2")
+    __slots__ = _fields = ("e1", "e2", "at", "k1", "k2")
 
-    def __init__(self, e1: GenExpr, e2: GenExpr, at: int = 0, k1: int = 1, k2: int = 1):
-        self.e1 = e1
-        self.e2 = e2
-        self.at = at
-        self.k1 = k1
-        self.k2 = k2
-        self._hash = hash(("pair", e1, e2, at, k1, k2))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Pair)
-            and self.at == other.at
-            and self.k1 == other.k1
-            and self.k2 == other.k2
-            and self.e1 == other.e1
-            and self.e2 == other.e2
-        )
-
-    __hash__ = GenExpr.__hash__
+    def __new__(cls, e1: GenExpr, e2: GenExpr, at: int = 0, k1: int = 1, k2: int = 1):
+        return _intern(cls, ("Pair", id(e1), id(e2), at, k1, k2), (e1, e2, at, k1, k2))
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +212,14 @@ def evaluate(e: GenExpr, rig: Rig = Rig.BOOL2) -> Morphism:
 # ---------------------------------------------------------------------------
 # small expression builders
 
+def _tensor_fold(legs: list[GenExpr]) -> GenExpr:
+    """Right-nested tensor of one or more legs: tensor(l1, tensor(l2, ...))."""
+    out = legs[-1]
+    for leg in reversed(legs[:-1]):
+        out = Tensor(leg, out)
+    return out
+
+
 @lru_cache(maxsize=None)
 def eta_expr(t: Cotree) -> GenExpr:
     """The unique map out of the base rig, as an expression K -> t."""
@@ -255,10 +228,7 @@ def eta_expr(t: Cotree) -> GenExpr:
     if t.kind == "W":
         return Eta
     if t.kind == "tensor":
-        out = eta_expr(t.parts[-1])
-        for p in reversed(t.parts[:-1]):
-            out = Tensor(eta_expr(p), out)
-        return out
+        return _tensor_fold([eta_expr(p) for p in t.parts])
     return Pair(eta_expr(t.parts[0]), eta_expr(join(*t.parts[1:])), at=0)
 
 
@@ -270,10 +240,7 @@ def eps_expr(t: Cotree) -> GenExpr:
     if t.kind == "W":
         return Eps
     if t.kind == "tensor":
-        out = eps_expr(t.parts[-1])
-        for p in reversed(t.parts[:-1]):
-            out = Tensor(eps_expr(p), out)
-        return out
+        return _tensor_fold([eps_expr(p) for p in t.parts])
     return Compose(eps_expr(t.parts[0]), Proj(t, 1))
 
 
@@ -310,10 +277,8 @@ def one_circle_expr(target: Cotree, mask: int) -> GenExpr:
     if target.kind == "W":
         interleave: GenExpr = Id(W)
     else:
-        legs = [Id(W) if (i + 1) in positions else Eta for i in range(len(target.parts))]
-        interleave = legs[-1]
-        for leg in reversed(legs[:-1]):
-            interleave = Tensor(leg, interleave)
+        interleave = _tensor_fold(
+            [Id(W) if (i + 1) in positions else Eta for i in range(len(target.parts))])
     return Compose(interleave, _ladder(len(positions)))
 
 
@@ -516,11 +481,7 @@ def _decompose_edgeless(f: Morphism, trace: _Trace) -> GenExpr:
 
 
 def _recombiner_expr(counts: tuple[int, ...]) -> GenExpr:
-    legs = [plus_expr(c) for c in counts]
-    out = legs[-1]
-    for leg in reversed(legs[:-1]):
-        out = Tensor(leg, out)
-    return out
+    return _tensor_fold([plus_expr(c) for c in counts])
 
 
 @_memoised
@@ -642,18 +603,12 @@ def _hit_positions(images) -> set[int]:
 def _restrict(f: Morphism, src: Cotree, gen_range, kept_positions: list[int]) -> Morphism:
     """Restrict to a source generator range and compress the target to the
     positions those generators actually hit."""
-    new_index = {pos: k + 1 for k, pos in enumerate(kept_positions)}
+    table = [0] * f.target.n
+    for k, pos in enumerate(kept_positions):
+        table[pos - 1] = 1 << k
     tgt = algebra_of(n_tensor(len(kept_positions)), f.rig)
-    images = []
-    for i in gen_range:
-        p = f.images[i - 1]
-        d = {}
-        for mask, c in p.terms:
-            new_mask = 0
-            for v in vertices_of(mask):
-                new_mask |= 1 << (new_index[v] - 1)
-            d[new_mask] = c
-        images.append(d)
+    images = [{mor.remap_mask(mask, table): c for mask, c in f.images[i - 1].terms}
+              for i in gen_range]
     src_obj = algebra_of(src, f.rig)
     return Morphism(src_obj, tgt, tuple(poly_trusted(tgt, d) for d in images))
 
@@ -672,16 +627,27 @@ def decompose_one_circle(f: Morphism) -> GenExpr:
 # ghat expansion
 
 def expand_ghat(e: GenExpr) -> GenExpr:
-    """Replace every Ghat(r) node by its pairing/addition construction."""
-    if isinstance(e, Ghat):
-        return _ghat_expr(e.r)
-    if isinstance(e, Tensor):
-        return Tensor(expand_ghat(e.e1), expand_ghat(e.e2))
-    if isinstance(e, Compose):
-        return Compose(expand_ghat(e.outer), expand_ghat(e.inner))
-    if isinstance(e, Pair):
-        return Pair(expand_ghat(e.e1), expand_ghat(e.e2), e.at, e.k1, e.k2)
-    return e
+    """Replace every Ghat(r) node by its pairing/addition construction,
+    visiting each distinct node of the expression DAG once."""
+    done: dict[GenExpr, GenExpr] = {}
+
+    def walk(x: GenExpr) -> GenExpr:
+        out = done.get(x)
+        if out is None:
+            if isinstance(x, Ghat):
+                out = _ghat_expr(x.r)
+            elif isinstance(x, Tensor):
+                out = Tensor(walk(x.e1), walk(x.e2))
+            elif isinstance(x, Compose):
+                out = Compose(walk(x.outer), walk(x.inner))
+            elif isinstance(x, Pair):
+                out = Pair(walk(x.e1), walk(x.e2), x.at, x.k1, x.k2)
+            else:
+                out = x
+            done[x] = out
+        return out
+
+    return walk(e)
 
 
 @lru_cache(maxsize=None)

@@ -240,16 +240,28 @@ def restriction(source: WeilObject, target: WeilObject, gen_map: dict[int, int])
     return make(source, target, images, check=True)
 
 
+def remap_mask(mask: int, table: tuple[int, ...] | list[int]) -> int:
+    """Send a monomial through a generator table: ``table[i]`` is the target
+    bit of source generator i+1, or 0 when that generator is killed.  The
+    result is 0 when the monomial contains a killed generator."""
+    out = 0
+    while mask:
+        bit = mask & -mask
+        t = table[bit.bit_length() - 1]
+        if not t:
+            return 0
+        out |= t
+        mask ^= bit
+    return out
+
+
 def restriction_gen_map(proj: Morphism) -> tuple[int, ...]:
-    """Per-generator target index (0 for killed) of a restriction morphism."""
-    out = []
-    for p in proj.images:
-        out.append(p.terms[0][0].bit_length() if p.terms else 0)
-    return tuple(out)
+    """The ``remap_mask`` table of a restriction morphism."""
+    return tuple(p.terms[0][0] if p.terms else 0 for p in proj.images)
 
 
 def compose_restriction(gen_map: tuple[int, ...], target: WeilObject, f: Morphism) -> Morphism:
-    """Compose a restriction (given by its generator map) after ``f``.
+    """Compose a restriction (given by its ``remap_mask`` table) after ``f``.
 
     A monomial survives only when none of its generators are killed, and
     distinct survivors stay distinct, so this is a plain mask remap."""
@@ -257,17 +269,8 @@ def compose_restriction(gen_map: tuple[int, ...], target: WeilObject, f: Morphis
     for p in f.images:
         d: dict[int, int] = {}
         for mask, c in p.terms:
-            new = 0
-            m = mask
-            while m:
-                bit = m & -m
-                j = gen_map[bit.bit_length() - 1]
-                if j == 0:
-                    new = -1
-                    break
-                new |= 1 << (j - 1)
-                m ^= bit
-            if new >= 0:
+            new = remap_mask(mask, gen_map)
+            if new:
                 d[new] = c
         images.append(poly_trusted(target, d))
     return Morphism(f.source, target, tuple(images))
@@ -306,7 +309,7 @@ def pair_into(
         acc: dict[int, int] = {}
         ctx1: dict[int, int] = {}
         for mask, c in p1.terms:
-            tmask = _remap(mask, map1)
+            tmask = remap_mask(mask, map1)
             if tmask & block1:
                 acc[tmask] = c
             else:
@@ -314,7 +317,7 @@ def pair_into(
                 acc[tmask] = c
         ctx2: dict[int, int] = {}
         for mask, c in p2.terms:
-            tmask = _remap(mask, map2)
+            tmask = remap_mask(mask, map2)
             if tmask & block2:
                 acc[tmask] = c
             else:
@@ -333,35 +336,30 @@ def pair_into(
 
 @lru_cache(maxsize=None)
 def _pair_layout(t1: Cotree, t2: Cotree, at: int, k1: int = 1, k2: int = 1):
-    """Target cotree and generator embeddings for pair_into."""
-    n1, n2 = leaves(t1), leaves(t2)
+    """Target cotree, ``remap_mask`` tables embedding each target's
+    generators, and the two block masks for pair_into."""
     if at == 0:
+        # the plain product: blocks t1 and t2 with an empty context
         target = join(t1, t2)
-        map1 = tuple(range(1, n1 + 1))
-        map2 = tuple(range(n1 + 1, n1 + n2 + 1))
-        block1 = (1 << n1) - 1
-        block2 = ((1 << n2) - 1) << n1
-        return target, map1, map2, block1, block2
-    f1l = list(factors(t1))
-    f2l = list(factors(t2))
-    if not (1 <= at and at - 1 + k1 <= len(f1l) and at - 1 + k2 <= len(f2l)):
-        raise TypeMismatch("pair factor block does not fit the targets")
-    prefix = f1l[: at - 1]
-    suffix = f1l[at - 1 + k1 :]
-    if f2l[: at - 1] != prefix or f2l[at - 1 + k2 :] != suffix:
-        raise TypeMismatch("pair targets do not share a tensor context")
-    b1 = tensor(*f1l[at - 1 : at - 1 + k1])
-    b2 = tensor(*f2l[at - 1 : at - 1 + k2])
-    target = tensor(*prefix, join(b1, b2), *suffix)
-    np = sum(leaves(p) for p in prefix)
-    nb1, nb2 = leaves(b1), leaves(b2)
-    ns = sum(leaves(p) for p in suffix)
-    map1 = tuple(range(1, np + nb1 + 1)) + tuple(
-        range(np + nb1 + nb2 + 1, np + nb1 + nb2 + ns + 1)
-    )
-    map2 = tuple(range(1, np + 1)) + tuple(range(np + nb1 + 1, np + nb1 + nb2 + 1)) + tuple(
-        range(np + nb1 + nb2 + 1, np + nb1 + nb2 + ns + 1)
-    )
+        np, nb1, nb2, ns = 0, leaves(t1), leaves(t2), 0
+    else:
+        f1l = list(factors(t1))
+        f2l = list(factors(t2))
+        if not (1 <= at and at - 1 + k1 <= len(f1l) and at - 1 + k2 <= len(f2l)):
+            raise TypeMismatch("pair factor block does not fit the targets")
+        prefix = f1l[: at - 1]
+        suffix = f1l[at - 1 + k1 :]
+        if f2l[: at - 1] != prefix or f2l[at - 1 + k2 :] != suffix:
+            raise TypeMismatch("pair targets do not share a tensor context")
+        b1 = tensor(*f1l[at - 1 : at - 1 + k1])
+        b2 = tensor(*f2l[at - 1 : at - 1 + k2])
+        target = tensor(*prefix, join(b1, b2), *suffix)
+        np = sum(leaves(p) for p in prefix)
+        nb1, nb2 = leaves(b1), leaves(b2)
+        ns = sum(leaves(p) for p in suffix)
+    total = np + nb1 + nb2 + ns
+    map1 = tuple(1 << j for j in range(total) if not np + nb1 <= j < np + nb1 + nb2)
+    map2 = tuple(1 << j for j in range(total) if not np <= j < np + nb1)
     block1 = ((1 << nb1) - 1) << np
     block2 = ((1 << nb2) - 1) << (np + nb1)
     return target, map1, map2, block1, block2
@@ -379,19 +377,9 @@ def pair_projections(
     merged, map1, map2, _, _ = _pair_layout(t1_obj.cotree, t2_obj.cotree, at, k1, k2)
     if merged != target.cotree:
         raise TypeMismatch("projections requested for a mismatched pair target")
-    inv1 = {tgt_gen: i + 1 for i, tgt_gen in enumerate(map1)}
-    inv2 = {tgt_gen: i + 1 for i, tgt_gen in enumerate(map2)}
+    inv1 = {bit.bit_length(): i + 1 for i, bit in enumerate(map1)}
+    inv2 = {bit.bit_length(): i + 1 for i, bit in enumerate(map2)}
     return restriction(target, t1_obj, inv1), restriction(target, t2_obj, inv2)
-
-
-def _remap(mask: int, gen_map: tuple[int, ...]) -> int:
-    out = 0
-    m = mask
-    while m:
-        bit = m & -m
-        out |= 1 << (gen_map[bit.bit_length() - 1] - 1)
-        m ^= bit
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -565,34 +565,11 @@ def check_foundational_pullback(
 
 def _candidate_projection(cands, proj: Morphism) -> list[tuple]:
     """Image term tuples of each candidate under a restriction morphism."""
-    gen_map = [0] * proj.source.n
-    for i in range(1, proj.source.n + 1):
-        terms = proj.images[i - 1].terms
-        gen_map[i - 1] = terms[0][0] if terms else 0
-
-    table: dict[int, int] = {}
-
-    def project(mask: int) -> int:
-        new = 0
-        m = mask
-        while m:
-            bit = m & -m
-            mapped = gen_map[bit.bit_length() - 1]
-            if mapped == 0:
-                return 0
-            new |= mapped
-            m ^= bit
-        return new
-
+    table = mor.restriction_gen_map(proj)
     out = []
     for terms in cands:
-        img = set()
-        for mask, _ in terms:
-            t = table.get(mask)
-            if t is None:
-                t = table[mask] = project(mask)
-            if t:
-                img.add(t)
+        img = {mor.remap_mask(mask, table) for mask, _ in terms}
+        img.discard(0)  # monomials the projection kills
         out.append(tuple(sorted(img)))
     return out
 

@@ -132,7 +132,7 @@ def test_genexpr_print_parse_round_trip_fuzz():
     for _ in range(200):
         e = build(4)
         text = ge.format_genexpr(e)
-        assert dsl.parse_genexpr(text) == e
+        assert dsl.parse_genexpr(text) is e
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +183,13 @@ def run_cli_process(*args, timeout):
 def test_cli_kappa_guard_is_fast():
     proc = run_cli_process("kappa", "5W", timeout=5)
     assert proc.returncode == 4 and "too large" in proc.stderr
+
+
+def test_cli_kappa_vertex_cap_is_fast():
+    # kappa(W^12) has 4096 vertices; the cap must refuse before the pair loop
+    proc = run_cli_process("kappa", "W^12", timeout=5)
+    assert proc.returncode == 2
+    assert "vertex count 4096 out of range 0..63" in proc.stderr
 
 
 def test_cli_large_ghat_is_fast():

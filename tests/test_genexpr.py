@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -241,6 +244,35 @@ def test_expand_ghat_keeps_pairat_block_sizes():
     expanded = ge.expand_ghat(e)
     assert "ghat" not in ge.format_genexpr(expanded)
     assert ge.evaluate(expanded, NAT) == f
+
+
+def test_expand_ghat_visits_shared_nodes_once():
+    # 60 nested comp(e, e) over ghat(1) is a 61-node DAG with 2^60 paths;
+    # a fresh process, so that a tree walk fails the test instead of stalling it
+    src = os.path.dirname(os.path.dirname(ge.__file__))
+    code = (
+        "from weil1 import genexpr as ge\n"
+        "from weil1.rig import Rig\n"
+        "e = ge.Ghat(1)\n"
+        "for _ in range(60):\n"
+        "    e = ge.Compose(e, e)\n"
+        "assert ge.evaluate(ge.expand_ghat(e), Rig.NAT) == ge.evaluate(e, Rig.NAT)\n"
+    )
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=5, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_nodes_are_interned():
+    a, b = ge.Id(ct.W), ge.Compose(ge.Eta, ge.Eps)
+    assert ge.Pair(a, b) is ge.Pair(a, b, 0, 1, 1)
+    assert ge.Pair(a, b) is not ge.Pair(a, b, 1, 1, 1)
+    assert ge.Id(ct.n_join(2)) is ge.Id(ct.join(ct.W, ct.W))
+    f = mor.validate(WW, wa.algebra_of(ct.n_tensor(3), B2), [{0b011: 1, 0b110: 1}, {0b001: 1}])
+    e = ge.decompose(f)
+    assert ge.decompose(f) is e
+    assert ge.decompose_with_trace(f)[0] is e
 
 
 def test_perm_network():

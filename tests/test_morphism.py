@@ -143,6 +143,22 @@ def test_pair_into_incompatible():
         mor.pair_into(f1, f2, at=2)
 
 
+def test_compose_restriction_matches_compose():
+    # the table remap agrees with substitution for both context projections,
+    # including monomials that a projection kills
+    target = wa.algebra_of(ct.tensor(ct.W, ct.join(ct.W, ct.n_tensor(2))), B2)
+    t1 = wa.algebra_of(ct.n_tensor(2), B2)
+    t2 = wa.algebra_of(ct.n_tensor(3), B2)
+    projs = mor.pair_projections(target, 2, t1, t2, 1, 2)
+    assert mor.restriction_gen_map(projs[1]) == (0b001, 0, 0b010, 0b100)
+    assert mor.remap_mask(0b1101, mor.restriction_gen_map(projs[1])) == 0b111
+    assert mor.remap_mask(0b0011, mor.restriction_gen_map(projs[1])) == 0
+    for src in (W, W2):
+        for f in enumerate_hom(src, target):
+            for p, t in zip(projs, (t1, t2)):
+                assert mor.compose_restriction(mor.restriction_gen_map(p), t, f) == mor.compose(p, f)
+
+
 def test_composition_associative_and_unital_small():
     objs = [wa.algebra_of(t, B2) for t in canonical_objects(2)]
     homs = {}
