@@ -36,7 +36,8 @@ class Graph:
     _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
-        _check_vertex_count(self.n)
+        if self.n < 0 or self.n > MAX_VERTICES:
+            raise ValueError(f"vertex count {self.n} out of range 0..{MAX_VERTICES}")
         for u, v in self.edges:
             if not (1 <= u < v <= self.n):
                 raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
@@ -82,11 +83,6 @@ class Graph:
     def __repr__(self) -> str:
         es = ",".join(f"{u}-{v}" for u, v in sorted(self.edges))
         return f"Graph({self.n}; {es})"
-
-
-def _check_vertex_count(n: int) -> None:
-    if n < 0 or n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} out of range 0..{MAX_VERTICES}")
 
 
 def graph(n: int, edges=()) -> Graph:
@@ -179,11 +175,13 @@ def independent_sets(g: Graph, include_empty: bool = False) -> list[int]:
     return out if include_empty else out[1:]
 
 
-def cliques(g: Graph) -> list[int]:
+def cliques(g: Graph, cap: int | None = None) -> list[int]:
     """All cliques (including the empty one) as masks, canonically sorted.
 
     Depth-first extension by higher-numbered common neighbours, so the cost
-    follows the number of cliques, not the 2^n subsets."""
+    follows the number of cliques, not the 2^n subsets.  With a ``cap``, the
+    search stops with ValueError as soon as it has found more than ``cap``
+    cliques, so refusing a huge clique set costs about ``cap`` steps."""
     adj = g.adjacency
     out = [0]
     stack = [(0, g.full_mask)]
@@ -195,6 +193,8 @@ def cliques(g: Graph) -> list[int]:
             out.append(clique | bit)
             stack.append((clique | bit, cand & adj[bit.bit_length() - 1] & ~((bit << 1) - 1)))
             m ^= bit
+        if cap is not None and len(out) > cap:
+            raise ValueError(f"more than {cap} cliques (vertex count out of range 0..{cap})")
     out.sort(key=mask_key)
     return out
 
@@ -223,8 +223,7 @@ def ind_plus(g: Graph) -> DerivedGraph:
 def cl_graph(g: Graph) -> DerivedGraph:
     """Graph on all cliques of g; distinct cliques are adjacent when their
     union is again a clique (no disjointness required)."""
-    cs = cliques(g)
-    _check_vertex_count(len(cs))  # refuse an over-large result before the quadratic pair loop
+    cs = cliques(g, cap=MAX_VERTICES)  # refuse an over-large result before the pair loop
     edges = set()
     for i, u in enumerate(cs):
         for j in range(i + 1, len(cs)):

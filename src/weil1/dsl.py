@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rig import Rig
+from .cograph import TooLarge
 from .cotree import Cotree, K, W, join, n_tensor, tensor, format_cotree
 from .weilalg import algebra_of, format_poly
 from . import genexpr as ge
@@ -44,6 +45,11 @@ class _Token:
     line: int
     col: int
 
+
+# most leaves (W factors) one input may spell with ``nW`` and ``W^n``, checked
+# before the leaves are built: W^1000000 still parses (in under a second),
+# W^999999999 would exhaust memory
+LEAF_BUDGET = 1_000_000
 
 _SYMBOLS = ("|->", "->", "(", ")", "^", "*", "@", ":", ";", ",", "+", "-")
 
@@ -99,6 +105,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.leaves = 0  # W factors spelled by counts so far, against LEAF_BUDGET
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -151,7 +158,7 @@ class _Parser:
             w = self.expect("NAME")
             if w.text != "W":
                 raise DslSyntaxError(f"unexpected {w.text!r}", w.line, w.col, expected="W")
-            return n_tensor(int(tok.text))
+            return n_tensor(self.leaf_count(tok))
         if tok.kind == "NAME" and tok.text == "k":
             self.next()
             return K
@@ -160,10 +167,20 @@ class _Parser:
             if self.at_sym("^"):
                 self.next()
                 power = self.expect("INT")
-                return join(*([W] * int(power.text)))
+                return join(*([W] * self.leaf_count(power)))
             return W
         raise DslSyntaxError(f"unexpected {tok.text or 'end of input'!r}",
                              tok.line, tok.col, expected="an object")
+
+    def leaf_count(self, tok: _Token) -> int:
+        """The count in ``nW`` or ``W^n``, refused with TooLarge when the
+        input's counted leaves would pass LEAF_BUDGET."""
+        n = int(tok.text)
+        self.leaves += n
+        if self.leaves > LEAF_BUDGET:
+            raise TooLarge(f"{self.leaves} leaves at line {tok.line}, column {tok.col}"
+                           f" exceed the budget of {LEAF_BUDGET}")
+        return n
 
     # morphisms -----------------------------------------------------------
 

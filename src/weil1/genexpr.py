@@ -167,13 +167,15 @@ def format_genexpr(e: GenExpr) -> str:
 # ---------------------------------------------------------------------------
 # evaluation
 
-_EVAL_CACHE: dict[tuple[GenExpr, Rig], Morphism] = {}
+# one table per rig, keyed by the node alone: no key tuple is built per lookup
+# or kept per entry (each would be one more object for the cycle collector)
+_EVAL_CACHE: dict[Rig, dict[GenExpr, Morphism]] = {rig: {} for rig in Rig}
 
 
 def evaluate(e: GenExpr, rig: Rig = Rig.BOOL2) -> Morphism:
     """Evaluate an expression to the morphism it denotes."""
-    key = (e, rig)
-    hit = _EVAL_CACHE.get(key)
+    cache = _EVAL_CACHE[rig]
+    hit = cache.get(e)
     if hit is not None:
         return hit
     try:
@@ -205,7 +207,7 @@ def evaluate(e: GenExpr, rig: Rig = Rig.BOOL2) -> Morphism:
             raise TypeError(f"not a GenExpr: {e!r}")
     except TypeMismatch as exc:
         raise IllTyped(e, str(exc)) from exc
-    _EVAL_CACHE[key] = out
+    cache[e] = out
     return out
 
 
@@ -316,8 +318,8 @@ def circles_of(f: Morphism) -> list[tuple[int, int, int]]:
     """All circles of ``f`` as (source generator, support mask, coefficient),
     in the canonical order (generator index, then support)."""
     out = []
-    for i, p in enumerate(f.images, start=1):
-        for mask, coeff in p.terms:
+    for i, terms in enumerate(f.raw, start=1):
+        for mask, coeff in terms:
             out.append((i, mask, coeff))
     out.sort(key=lambda c: (c[0], mask_key(c[1])))
     return out
@@ -385,7 +387,7 @@ class SlotAssignment:
                 new_mask |= 1 << (self.slot_generator(j, self.slot(i, m, j)) - 1)
                 mm ^= bit
             images[i - 1][new_mask] = coeff
-        return Morphism(f.source, s_obj, tuple(poly_trusted(s_obj, d) for d in images))
+        return Morphism(f.source, s_obj, tuple(poly_trusted(d) for d in images))
 
 
 def choice_rule(f: Morphism) -> SlotAssignment:
@@ -531,7 +533,7 @@ def _decompose_flat(f: Morphism, trace: _Trace) -> GenExpr:
         expr = Compose(eta_expr(f.target.cotree), eps_expr(a))
         return _record(trace, "SplitCircles", expr)
     if a.kind == "W":
-        terms = f.images[0].terms
+        terms = f.raw[0]
         if len(terms) != 1:
             raise TypeMismatch("intersecting circles survived slot splitting")
         mask, coeff = terms[0]
@@ -549,14 +551,13 @@ def _project_source(f: Morphism, trace: _Trace) -> GenExpr:
     """A disjoint-circle map out of a product lives in one factor."""
     a = f.source.cotree
     n1 = leaves(a.parts[0])
-    nonzero = [i for i, p in enumerate(f.images, start=1) if p.terms]
+    nonzero = [i for i, terms in enumerate(f.raw, start=1) if terms]
     side = 1 if all(i <= n1 for i in nonzero) else 2
     if side == 2 and any(i <= n1 for i in nonzero):
         raise TypeMismatch("disjoint-circle map uses both product factors")
     kept = a.parts[0] if side == 1 else join(*a.parts[1:])
     kept_obj = algebra_of(kept, f.rig)
-    images = f.images[:n1] if side == 1 else f.images[n1:]
-    sub = Morphism(kept_obj, f.target, tuple(images))
+    sub = Morphism(kept_obj, f.target, f.raw[:n1] if side == 1 else f.raw[n1:])
     e = _decompose_flat(sub, trace)
     return _record(trace, "Projection", Compose(e, Proj(a, side)))
 
@@ -568,8 +569,8 @@ def _tensor_split_source(f: Morphism, trace: _Trace) -> GenExpr:
     a1 = a.parts[0]
     arest = tensor(*a.parts[1:])
     n1 = leaves(a1)
-    hit1 = _hit_positions(f.images[:n1])
-    hitrest = _hit_positions(f.images[n1:])
+    hit1 = _hit_positions(f.raw[:n1])
+    hitrest = _hit_positions(f.raw[n1:])
     if hit1 & hitrest:
         raise TypeMismatch("intersecting circles across the source tensor")
     r = f.target.n
@@ -592,12 +593,12 @@ def _tensor_split_source(f: Morphism, trace: _Trace) -> GenExpr:
     return _record(trace, "NoIntersect", expr)
 
 
-def _hit_positions(images) -> set[int]:
-    out: set[int] = set()
-    for p in images:
-        for mask, _ in p.terms:
-            out.update(vertices_of(mask))
-    return out
+def _hit_positions(raw) -> set[int]:
+    hit = 0
+    for terms in raw:
+        for mask, _ in terms:
+            hit |= mask
+    return set(vertices_of(hit))
 
 
 def _restrict(f: Morphism, src: Cotree, gen_range, kept_positions: list[int]) -> Morphism:
@@ -607,17 +608,16 @@ def _restrict(f: Morphism, src: Cotree, gen_range, kept_positions: list[int]) ->
     for k, pos in enumerate(kept_positions):
         table[pos - 1] = 1 << k
     tgt = algebra_of(n_tensor(len(kept_positions)), f.rig)
-    images = [{mor.remap_mask(mask, table): c for mask, c in f.images[i - 1].terms}
-              for i in gen_range]
+    images = [{mor.remap_mask(mask, table): c for mask, c in f.raw[i - 1]} for i in gen_range]
     src_obj = algebra_of(src, f.rig)
-    return Morphism(src_obj, tgt, tuple(poly_trusted(tgt, d) for d in images))
+    return Morphism(src_obj, tgt, tuple(poly_trusted(d) for d in images))
 
 
 def decompose_one_circle(f: Morphism) -> GenExpr:
     """Expression for a one-term map W -> nW with coefficient 1."""
     if f.source.cotree.kind != "W" or f.target.graph.edges:
         raise TypeMismatch("decompose_one_circle needs W -> nW input")
-    terms = f.images[0].terms
+    terms = f.raw[0]
     if len(terms) != 1 or terms[0][1] != 1:
         raise TypeMismatch("decompose_one_circle needs exactly one circle with coefficient 1")
     return one_circle_expr(f.target.cotree, terms[0][0])

@@ -19,23 +19,24 @@ itself a clique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import rig as rig_mod
 from .rig import Rig, psi
 from .cograph import Graph, is_independent, mask_key
-from .cotree import Cotree, K, W, factors, join, leaves, n_join, n_tensor, tensor
+from .cotree import K, W, factors, join, leaves, n_join, n_tensor, tensor
 from .weilalg import (
     Polynomial,
     WeilObject,
     algebra_of,
+    checked_terms,
     dict_add_into,
     dict_mul,
     format_poly,
     poly,
     poly_trusted,
-    zero_poly,
+    size_lex,
 )
 
 
@@ -62,34 +63,65 @@ class RelationViolation(MorphismError):
         super().__init__(f"image of relation {rel} = 0 is non-zero: {format_poly(witness)}")
 
 
-@dataclass(frozen=True)
 class Morphism:
-    """An algebra map, stored as one constant-free image polynomial per generator."""
+    """An algebra map, stored as one constant-free image per generator.
 
-    source: WeilObject
-    target: WeilObject
-    images: tuple[Polynomial, ...]
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
+    ``raw[i - 1]`` is the image of generator i in the internal form of
+    ``weilalg.poly_trusted``: ``(mask, coeff)`` pairs sorted by plain integer
+    mask.  Equality and hashing read these tuples, and the kernel's own
+    constructions work on them directly.  The public ``images`` and
+    ``image(i)`` are ``Polynomial``s in the size-then-lex order, built on
+    first use and cached.  The constructor takes ``raw`` unchecked; build a
+    morphism from outside input with ``make``.  Morphisms must not be
+    mutated after construction.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.source, self.target, self.images)))
+    __slots__ = ("source", "target", "raw", "_hash", "_images")
+
+    def __init__(self, source: WeilObject, target: WeilObject,
+                 raw: tuple[tuple[tuple[int, int], ...], ...]):
+        self.source = source
+        self.target = target
+        self.raw = raw
+        self._hash = None
+        self._images = None
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Morphism):
+            return NotImplemented
+        return (self.raw == other.raw and self.source == other.source
+                and self.target == other.target)
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.source, self.target, self.raw))
+        return h
 
     @property
     def rig(self) -> Rig:
         return self.source.rig
+
+    @property
+    def images(self) -> tuple[Polynomial, ...]:
+        """The image polynomials, one per generator, terms in size-then-lex order."""
+        imgs = self._images
+        if imgs is None:
+            tgt = self.target
+            imgs = self._images = tuple(Polynomial(tgt, 0, size_lex(t)) for t in self.raw)
+        return imgs
 
     def image(self, i: int) -> Polynomial:
         """Image polynomial of generator i (1-based)."""
         return self.images[i - 1]
 
     def image_dicts(self) -> tuple[dict[int, int], ...]:
-        return tuple(dict(p.terms) for p in self.images)
+        return tuple(dict(t) for t in self.raw)
 
     def is_zero_map(self) -> bool:
-        return all(p.is_zero() for p in self.images)
+        return not any(self.raw)
 
     def __repr__(self) -> str:
         from .cotree import format_cotree
@@ -105,17 +137,19 @@ def make(source: WeilObject, target: WeilObject, images, check: bool = True) -> 
     """Build a morphism from per-generator images (Polynomial or mask->coeff dict)."""
     if source.rig is not target.rig:
         raise TypeMismatch("source and target rigs differ")
-    polys = []
+    raw = []
     for img in images:
-        p = img if isinstance(img, Polynomial) else poly(target, img)
-        if p.ambient != target:
-            raise TypeMismatch("image polynomial lives in the wrong ambient")
-        if p.constant != 0:
-            raise RelationViolation(0, 0, p)
-        polys.append(p)
-    if len(polys) != source.n:
-        raise TypeMismatch(f"expected {source.n} images, got {len(polys)}")
-    f = Morphism(source, target, tuple(polys))
+        if isinstance(img, Polynomial):
+            if img.ambient != target:
+                raise TypeMismatch("image polynomial lives in the wrong ambient")
+            if img.constant != 0:
+                raise RelationViolation(0, 0, img)
+            raw.append(poly_trusted(img.as_dict()))
+        else:
+            raw.append(poly_trusted(checked_terms(target, img)))
+    if len(raw) != source.n:
+        raise TypeMismatch(f"expected {source.n} images, got {len(raw)}")
+    f = Morphism(source, target, tuple(raw))
     if check:
         _check_relations(f)
     return f
@@ -144,12 +178,11 @@ def _check_relations(f: Morphism) -> None:
 
 @lru_cache(maxsize=None)
 def identity(obj: WeilObject) -> Morphism:
-    images = [poly(obj, [(1 << i, 1)]) for i in range(obj.n)]
-    return Morphism(obj, obj, tuple(images))
+    return Morphism(obj, obj, tuple(((1 << i, 1),) for i in range(obj.n)))
 
 
 def zero_map(source: WeilObject, target: WeilObject) -> Morphism:
-    return Morphism(source, target, tuple(zero_poly(target) for _ in range(source.n)))
+    return Morphism(source, target, ((),) * source.n)
 
 
 def eps(obj: WeilObject) -> Morphism:
@@ -170,9 +203,9 @@ def compose(g: Morphism, f: Morphism, check: bool = True) -> Morphism:
     tgt = g.target
     g_dicts = g.image_dicts()
     out_images = []
-    for p in f.images:
+    for terms in f.raw:
         acc: dict[int, int] = {}
-        for mask, coeff in p.terms:
+        for mask, coeff in terms:
             term: dict[int, int] = {0: 1}  # empty product; masks OR together
             m = mask
             while m and term:
@@ -184,7 +217,7 @@ def compose(g: Morphism, f: Morphism, check: bool = True) -> Morphism:
             if coeff != 1:
                 term = {k: rig_mod.mul(coeff, c, rig) for k, c in term.items()}
             dict_add_into(acc, term, rig)
-        out_images.append(poly_trusted(tgt, acc))
+        out_images.append(poly_trusted(acc))
     result = Morphism(f.source, tgt, tuple(out_images))
     if check:
         _check_relations(result)
@@ -208,9 +241,9 @@ def tensor_mor(f: Morphism, g: Morphism) -> Morphism:
     source = algebra_of(tensor(f.source.cotree, g.source.cotree), f.rig)
     target = algebra_of(tensor(f.target.cotree, g.target.cotree), f.rig)
     shift = f.target.n
-    images = [poly_trusted(target, dict(p.terms)) for p in f.images]
-    for p in g.images:
-        images.append(poly_trusted(target, {mask << shift: c for mask, c in p.terms}))
+    images = list(f.raw)
+    for terms in g.raw:
+        images.append(poly_trusted({mask << shift: c for mask, c in terms}))
     return Morphism(source, target, tuple(images))
 
 
@@ -236,7 +269,7 @@ def restriction(source: WeilObject, target: WeilObject, gen_map: dict[int, int])
     images = []
     for i in range(1, source.n + 1):
         j = gen_map.get(i)
-        images.append(poly(target, [] if j is None else [(1 << (j - 1), 1)]))
+        images.append({} if j is None else {1 << (j - 1): 1})
     return make(source, target, images, check=True)
 
 
@@ -257,7 +290,7 @@ def remap_mask(mask: int, table: tuple[int, ...] | list[int]) -> int:
 
 def restriction_gen_map(proj: Morphism) -> tuple[int, ...]:
     """The ``remap_mask`` table of a restriction morphism."""
-    return tuple(p.terms[0][0] if p.terms else 0 for p in proj.images)
+    return tuple(terms[0][0] if terms else 0 for terms in proj.raw)
 
 
 def compose_restriction(gen_map: tuple[int, ...], target: WeilObject, f: Morphism) -> Morphism:
@@ -266,13 +299,13 @@ def compose_restriction(gen_map: tuple[int, ...], target: WeilObject, f: Morphis
     A monomial survives only when none of its generators are killed, and
     distinct survivors stay distinct, so this is a plain mask remap."""
     images = []
-    for p in f.images:
+    for terms in f.raw:
         d: dict[int, int] = {}
-        for mask, c in p.terms:
+        for mask, c in terms:
             new = remap_mask(mask, gen_map)
             if new:
                 d[new] = c
-        images.append(poly_trusted(target, d))
+        images.append(poly_trusted(d))
     return Morphism(f.source, target, tuple(images))
 
 
@@ -299,16 +332,12 @@ def pair_into(
         raise TypeMismatch("pair needs a common source")
     if f1.rig is not f2.rig:
         raise TypeMismatch("pair requires matching rigs")
-    rig = f1.rig
-    target_tree, map1, map2, block1, block2 = _pair_layout(
-        f1.target.cotree, f2.target.cotree, at, k1, k2
-    )
-    target = algebra_of(target_tree, rig)
+    target, map1, map2, block1, block2 = _pair_layout(f1.target, f2.target, at, k1, k2)
     images = []
-    for p1, p2 in zip(f1.images, f2.images):
+    for terms1, terms2 in zip(f1.raw, f2.raw):
         acc: dict[int, int] = {}
         ctx1: dict[int, int] = {}
-        for mask, c in p1.terms:
+        for mask, c in terms1:
             tmask = remap_mask(mask, map1)
             if tmask & block1:
                 acc[tmask] = c
@@ -316,7 +345,7 @@ def pair_into(
                 ctx1[tmask] = c
                 acc[tmask] = c
         ctx2: dict[int, int] = {}
-        for mask, c in p2.terms:
+        for mask, c in terms2:
             tmask = remap_mask(mask, map2)
             if tmask & block2:
                 acc[tmask] = c
@@ -324,7 +353,7 @@ def pair_into(
                 ctx2[tmask] = c
         if ctx1 != ctx2:
             raise TypeMismatch("pair components disagree over the shared context")
-        images.append(poly_trusted(target, acc))
+        images.append(poly_trusted(acc))
     u = Morphism(f1.source, target, tuple(images))
     if check:
         _check_relations(u)
@@ -335,9 +364,10 @@ def pair_into(
 
 
 @lru_cache(maxsize=None)
-def _pair_layout(t1: Cotree, t2: Cotree, at: int, k1: int = 1, k2: int = 1):
-    """Target cotree, ``remap_mask`` tables embedding each target's
+def _pair_layout(o1: WeilObject, o2: WeilObject, at: int, k1: int = 1, k2: int = 1):
+    """Target object, ``remap_mask`` tables embedding each target's
     generators, and the two block masks for pair_into."""
+    t1, t2 = o1.cotree, o2.cotree
     if at == 0:
         # the plain product: blocks t1 and t2 with an empty context
         target = join(t1, t2)
@@ -362,7 +392,7 @@ def _pair_layout(t1: Cotree, t2: Cotree, at: int, k1: int = 1, k2: int = 1):
     map2 = tuple(1 << j for j in range(total) if not np <= j < np + nb1)
     block1 = ((1 << nb1) - 1) << np
     block2 = ((1 << nb2) - 1) << (np + nb1)
-    return target, map1, map2, block1, block2
+    return algebra_of(target, o1.rig), map1, map2, block1, block2
 
 
 def pair_projections(
@@ -374,8 +404,8 @@ def pair_projections(
     k2: int = 1,
 ) -> tuple[Morphism, Morphism]:
     """The two context projections out of a pair_into target."""
-    merged, map1, map2, _, _ = _pair_layout(t1_obj.cotree, t2_obj.cotree, at, k1, k2)
-    if merged != target.cotree:
+    merged, map1, map2, _, _ = _pair_layout(t1_obj, t2_obj, at, k1, k2)
+    if merged != target:
         raise TypeMismatch("projections requested for a mismatched pair target")
     inv1 = {bit.bit_length(): i + 1 for i, bit in enumerate(map1)}
     inv2 = {bit.bit_length(): i + 1 for i, bit in enumerate(map2)}
@@ -424,11 +454,11 @@ class KleisliMap:
 def to_kleisli(f: Morphism) -> KleisliMap:
     """Forget coefficients: generator i goes to the clique of its term supports."""
     if f.rig is not Rig.BOOL2:
-        for p in f.images:
-            if any(c > 1 for _, c in p.terms):
+        for terms in f.raw:
+            if any(c > 1 for _, c in terms):
                 raise RigMismatch("to_kleisli needs {0,1} coefficients")
     assignment = tuple(
-        tuple(sorted((mask for mask, _ in p.terms), key=mask_key)) for p in f.images
+        tuple(sorted((mask for mask, _ in terms), key=mask_key)) for terms in f.raw
     )
     return KleisliMap(f.source.graph, f.target.graph, assignment)
 
@@ -489,7 +519,7 @@ def lift_to_nat(f: Morphism) -> Morphism:
     """The NAT morphism with the same action on generators (fullness witness)."""
     src = algebra_of(f.source.cotree, Rig.NAT)
     tgt = algebra_of(f.target.cotree, Rig.NAT)
-    images = [{mask: c for mask, c in p.terms} for p in f.images]
+    images = [dict(terms) for terms in f.raw]
     return make(src, tgt, images, check=True)
 
 
@@ -497,5 +527,5 @@ def project_to_bool2(f: Morphism) -> Morphism:
     """Push a NAT morphism along the rig morphism to {0,1} coefficients."""
     src = algebra_of(f.source.cotree, Rig.BOOL2)
     tgt = algebra_of(f.target.cotree, Rig.BOOL2)
-    images = [{mask: psi(c) for mask, c in p.terms} for p in f.images]
+    images = [{mask: psi(c) for mask, c in terms} for terms in f.raw]
     return make(src, tgt, images, check=True)

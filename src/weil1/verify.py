@@ -22,7 +22,7 @@ from .cograph import (
     IND_PLUS_GUARD, Graph, TooLarge, cliques, ind_plus, is_clique, kappa_labels, vertices_of,
 )
 from .cotree import Cotree, K, W, cotree_decompose, format_cotree, join, n_join, n_tensor, tensor
-from .weilalg import WeilObject, algebra_of, dict_mul, poly
+from .weilalg import WeilObject, algebra_of, dict_mul, poly_trusted
 from . import morphism as mor
 from .morphism import Morphism, RigMismatch, TypeMismatch
 from .genexpr import SlotAssignment, circles_of
@@ -80,13 +80,13 @@ def enumerate_hom(a: Cotree | WeilObject, b: Cotree | WeilObject, max_size: int 
     for u, v in src.graph.edges:
         earlier[v - 1].append(u - 1)
     out: list[Morphism] = []
-    polys = [poly(tgt, dict(terms)) for terms in cands]
     dicts = [dict(terms) for terms in cands]
+    raws = [poly_trusted(d) for d in dicts]
     choice = [0] * n
 
     def rec(i: int):
         if i == n:
-            out.append(Morphism(src, tgt, tuple(polys[c] for c in choice)))
+            out.append(Morphism(src, tgt, tuple(raws[c] for c in choice)))
             return
         for c in range(len(cands)):
             ok = True

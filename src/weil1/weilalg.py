@@ -4,9 +4,15 @@ Every object carries a cotree and its realised graph; the relations are
 exactly ``x_u x_v = 0`` for edges (u, v) and ``x_v^2 = 0`` for every vertex.
 Monomials are therefore identified with non-empty independent sets, stored
 as bitmasks, and reduction is a single rule: a product dies when its factors
-overlap or touch an edge.  Polynomials keep a normal form (no zero
-coefficients, terms sorted by size then lexicographic members) so equality
-is structural.
+overlap or touch an edge.
+
+Terms come in two orders.  Internally, a morphism image is a tuple of
+``(mask, coeff)`` pairs with no zero coefficient, sorted by plain integer
+mask: ``poly_trusted`` makes it from a mask->coeff dict (the form
+``dict_mul`` and composition compute in), and equality is tuple equality.
+The public ``Polynomial`` sorts its terms by size, then lexicographic
+members (``size_lex``), which is the order the printers show and ``terms``
+iterates.
 """
 
 from __future__ import annotations
@@ -97,7 +103,11 @@ def _mono_valid(mask: int, obj: WeilObject) -> bool:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Normal-form rig combination of square-free monomials plus a constant."""
+    """Normal-form rig combination of square-free monomials plus a constant.
+
+    This is the public form: ``terms`` holds no zero coefficient and is
+    sorted by size, then lexicographic members (``mask_key``), so term
+    indices and printed text follow that order."""
 
     ambient: WeilObject
     constant: int
@@ -130,9 +140,14 @@ def _mask_key_cached(mask: int):
     return k
 
 
-def poly(ambient: WeilObject, terms=(), constant: int = 0) -> Polynomial:
-    """Build a polynomial in normal form from a mask->coeff mapping."""
-    rig_mod.check_coeff(constant, ambient.rig)
+def size_lex(terms) -> tuple[tuple[int, int], ...]:
+    """``(mask, coeff)`` pairs in the public order: size, then lexicographic members."""
+    return tuple(sorted(terms, key=lambda mc: _mask_key_cached(mc[0])))
+
+
+def checked_terms(ambient: WeilObject, terms) -> dict[int, int]:
+    """Merge a mask->coeff mapping (or pair list) into a term dict, checking
+    every coefficient against the rig and every monomial against the ambient."""
     items = terms.items() if isinstance(terms, dict) else terms
     merged: dict[int, int] = {}
     for mask, coeff in items:
@@ -142,15 +157,20 @@ def poly(ambient: WeilObject, terms=(), constant: int = 0) -> Polynomial:
         if not _mono_valid(mask, ambient):
             raise ValueError(f"monomial {vertices_of(mask)} is not independent in ambient")
         merged[mask] = rig_mod.add(merged.get(mask, 0), coeff, ambient.rig)
-    ordered = tuple(sorted(merged.items(), key=lambda mc: _mask_key_cached(mc[0])))
-    return Polynomial(ambient, constant, ordered)
+    return merged
 
 
-def poly_trusted(ambient: WeilObject, term_dict: dict[int, int]) -> Polynomial:
-    """Normal-form constructor for internally produced term dicts: the masks
-    are already reduced and the coefficients already lie in the rig."""
-    ordered = tuple(sorted(term_dict.items(), key=lambda mc: _mask_key_cached(mc[0])))
-    return Polynomial(ambient, 0, ordered)
+def poly(ambient: WeilObject, terms=(), constant: int = 0) -> Polynomial:
+    """Build a polynomial in normal form from a mask->coeff mapping."""
+    rig_mod.check_coeff(constant, ambient.rig)
+    return Polynomial(ambient, constant, size_lex(checked_terms(ambient, terms).items()))
+
+
+def poly_trusted(term_dict: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The internal normal form of a term dict produced inside the kernel
+    (masks already reduced, coefficients already in the rig, none zero):
+    its ``(mask, coeff)`` pairs sorted by plain integer mask."""
+    return tuple(sorted(term_dict.items()))
 
 
 def zero_poly(ambient: WeilObject) -> Polynomial:

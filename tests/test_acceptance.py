@@ -19,6 +19,10 @@ from weil1 import weilalg as wa
 
 B2, NAT = Rig.BOOL2, Rig.NAT
 
+# every criterion here runs against a wall-clock budget; `pytest -m "not slow"`
+# leaves them out for a fast inner loop, the full suite still runs them
+pytestmark = pytest.mark.slow
+
 
 class _Budget:
     def __init__(self, number, name, seconds):

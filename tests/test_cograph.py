@@ -112,7 +112,11 @@ def brute_cliques(g):
 def test_cliques_against_oracle():
     for n in range(6):
         for g in all_graphs(n):
-            assert cg.cliques(g) == brute_cliques(g)
+            want = brute_cliques(g)
+            assert cg.cliques(g) == want
+            assert cg.cliques(g, cap=len(want)) == want
+            with pytest.raises(ValueError, match=f"more than {len(want) - 1} cliques"):
+                cg.cliques(g, cap=len(want) - 1)
 
 
 def test_neighbourhood_is_union_of_adjacency():

@@ -186,10 +186,22 @@ def test_cli_kappa_guard_is_fast():
 
 
 def test_cli_kappa_vertex_cap_is_fast():
-    # kappa(W^12) has 4096 vertices; the cap must refuse before the pair loop
-    proc = run_cli_process("kappa", "W^12", timeout=5)
-    assert proc.returncode == 2
-    assert "vertex count 4096 out of range 0..63" in proc.stderr
+    # kappa(W^k) has 2^k vertices; the clique search must stop at the cap,
+    # before the pair loop and before listing every clique
+    for obj in ("W^12", "W^20"):
+        proc = run_cli_process("kappa", obj, timeout=5)
+        assert proc.returncode == 2
+        assert "more than 63 cliques (vertex count out of range 0..63)" in proc.stderr
+
+
+def test_cli_object_leaf_budget():
+    # the leaf count is checked before the leaves are built, in both spellings
+    for obj in ("W^999999999", "999999999W", "W^600000 @ 500000W"):
+        proc = run_cli_process("parse", obj, timeout=5)
+        assert proc.returncode == 4
+        assert "exceed the budget of 1000000" in proc.stderr
+    proc = run_cli_process("parse", "W^1000000", timeout=5)
+    assert proc.returncode == 0 and proc.stdout.strip() == "W^1000000"
 
 
 def test_cli_large_ghat_is_fast():

@@ -4,6 +4,7 @@ import pytest
 
 from weil1.rig import Rig
 from weil1 import cotree as ct
+from weil1 import genexpr as ge
 from weil1 import morphism as mor
 from weil1 import weilalg as wa
 from weil1.verify import canonical_objects, enumerate_hom
@@ -242,3 +243,28 @@ def test_nat_lift_project():
     lifted = mor.lift_to_nat(f)
     assert lifted.rig is NAT
     assert mor.project_to_bool2(lifted) == f
+
+
+@pytest.mark.parametrize("rig", [B2, NAT])
+def test_public_order_is_size_lex_on_every_route(rig):
+    # x |-> y3 + y1 y2 into W @ W^2 (edge 2-3): integer order would put
+    # y1 y2 (0b011) before y3 (0b100); the public order puts the smaller set first
+    c3, c12 = (1, 1) if rig is B2 else (2, 3)
+    src = wa.algebra_of(ct.W, rig)
+    tgt = wa.algebra_of(ct.tensor(ct.W, ct.n_join(2)), rig)
+    want = ((0b100, c3), (0b011, c12))
+    made = mor.make(src, tgt, [{0b011: c12, 0b100: c3}])
+    p1, p2 = mor.pair_projections(tgt, 2, wa.algebra_of(ct.n_tensor(2), rig),
+                                  wa.algebra_of(ct.n_tensor(2), rig))
+    routes = {
+        "make from Polynomial": mor.make(src, tgt, [wa.poly(tgt, dict(want))]),
+        "compose": mor.compose(mor.identity(tgt), made),
+        "pair_into": mor.pair_into(mor.compose(p1, made), mor.compose(p2, made), at=2),
+        "evaluate(decompose)": ge.evaluate(ge.decompose(made), rig),
+    }
+    assert made.image(1).terms == want
+    assert wa.format_poly(made.image(1)) == ("y3 + y1 y2" if rig is B2 else "2 y3 + 3 y1 y2")
+    for route, f in routes.items():
+        assert f.image(1).terms == want, route
+        assert f.images == made.images, route
+        assert f == made and hash(f) == hash(made), route
