@@ -262,7 +262,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has all it wanted; send the interpreter's final flush
+        # to devnull so that it stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except dsl.DslSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX

@@ -180,7 +180,7 @@ def cliques(g: Graph, cap: int | None = None) -> list[int]:
 
     Depth-first extension by higher-numbered common neighbours, so the cost
     follows the number of cliques, not the 2^n subsets.  With a ``cap``, the
-    search stops with ValueError as soon as it has found more than ``cap``
+    search stops with TooLarge as soon as it has found more than ``cap``
     cliques, so refusing a huge clique set costs about ``cap`` steps."""
     adj = g.adjacency
     out = [0]
@@ -194,7 +194,7 @@ def cliques(g: Graph, cap: int | None = None) -> list[int]:
             stack.append((clique | bit, cand & adj[bit.bit_length() - 1] & ~((bit << 1) - 1)))
             m ^= bit
         if cap is not None and len(out) > cap:
-            raise ValueError(f"more than {cap} cliques (vertex count out of range 0..{cap})")
+            raise TooLarge(f"more than {cap} cliques")
     out.sort(key=mask_key)
     return out
 
@@ -207,10 +207,16 @@ class DerivedGraph:
     labels: tuple
 
 
-def ind_plus(g: Graph) -> DerivedGraph:
+def ind_plus(g: Graph, guard: int | None = None) -> DerivedGraph:
     """ind+: the non-empty independent sets of g; two distinct sets are
-    adjacent when they overlap or contain a pair of vertices adjacent in g."""
-    sets = independent_sets(g)
+    adjacent when they overlap or contain a pair of vertices adjacent in g.
+
+    With a ``guard``, raises TooLarge as soon as the enumeration finds more
+    than ``guard`` sets, before any edge is built."""
+    try:
+        sets = cliques(g.complement, None if guard is None else guard + 1)[1:]
+    except TooLarge:
+        raise TooLarge(f"ind+ of a {g.n}-vertex graph has more than {guard} vertices") from None
     edges = set()
     for i, u in enumerate(sets):
         nbhd = g.neighbourhood(u) | u
@@ -240,23 +246,16 @@ def kappa_labels(g: Graph, guard: int = IND_PLUS_GUARD) -> tuple[tuple[int, ...]
     these vertices.  Raises TooLarge when ind+(g) has more than ``guard``
     vertices, since the clique count can grow as 2^|ind+|.
     """
-    ip = ind_plus(g)
-    return _clique_labels(ip, cliques(_guarded(g, ip, guard)))
+    ip = ind_plus(g, guard)
+    return _clique_labels(ip, cliques(ip.graph))
 
 
 def kappa(g: Graph) -> DerivedGraph:
     """kappa = cl(ind+): vertices are cliques of independent sets of g,
     labelled as in ``kappa_labels``."""
-    ip = ind_plus(g)
-    cl = cl_graph(_guarded(g, ip, IND_PLUS_GUARD))
+    ip = ind_plus(g, IND_PLUS_GUARD)
+    cl = cl_graph(ip.graph)
     return DerivedGraph(cl.graph, _clique_labels(ip, cl.labels))
-
-
-def _guarded(g: Graph, ip: DerivedGraph, guard: int) -> Graph:
-    """ip.graph, or TooLarge when it has more than ``guard`` vertices."""
-    if ip.graph.n > guard:
-        raise TooLarge(f"ind+ of a {g.n}-vertex graph has {ip.graph.n} vertices (> {guard})")
-    return ip.graph
 
 
 def _clique_labels(ip: DerivedGraph, cs) -> tuple[tuple[int, ...], ...]:

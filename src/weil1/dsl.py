@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rig import Rig
+from .rig import Rig, check_coeff
 from .cograph import TooLarge
 from .cotree import Cotree, K, W, join, n_tensor, tensor, format_cotree
 from .weilalg import algebra_of, format_poly
@@ -192,7 +192,7 @@ class _Parser:
         tgt_tree = self.object_expr()
         src = algebra_of(src_tree, rig)
         tgt = algebra_of(tgt_tree, rig)
-        images: dict[int, dict[int, int]] = {}
+        images: dict[int, list[tuple[int, int]]] = {}
         while self.at_sym(";"):
             self.next()
             gen_tok = self.expect("NAME")
@@ -205,7 +205,7 @@ class _Parser:
         end = self.peek()
         if end.kind != "EOF":
             raise DslSyntaxError(f"unexpected {end.text!r}", end.line, end.col, expected="';'")
-        return mor.validate(src, tgt, [images.get(i, {}) for i in range(1, src.n + 1)])
+        return mor.validate(src, tgt, [images.get(i, []) for i in range(1, src.n + 1)])
 
     def _gen_index(self, tok: _Token, bound: int) -> int:
         name = tok.text
@@ -219,18 +219,19 @@ class _Parser:
                                  tok.line, tok.col)
         return idx
 
-    def _poly(self, bound: int, rig: Rig) -> dict[int, int]:
+    def _poly(self, bound: int, rig: Rig) -> list[tuple[int, int]]:
+        """The ``(mask, coeff)`` pairs of one image; ``make`` merges them.
+        Each coefficient is checked here, so a bad one is reported before
+        any later syntax error."""
         tok = self.peek()
         if tok.kind == "INT" and tok.text == "0" and not self._term_continues(1):
             self.next()
-            return {}
-        terms: dict[int, int] = {}
+            return []
+        terms = []
         while True:
             mask, coeff = self._term(bound)
-            from . import rig as rig_mod
-
-            rig_mod.check_coeff(coeff, rig)
-            terms[mask] = rig_mod.add(terms.get(mask, 0), coeff, rig)
+            check_coeff(coeff, rig)
+            terms.append((mask, coeff))
             if self.at_sym("+"):
                 self.next()
                 continue

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import rig as rig_mod
 from .rig import Rig, psi
 from .cograph import Graph, is_independent, mask_key
 from .cotree import K, W, factors, join, leaves, n_join, n_tensor, tensor
@@ -134,7 +133,8 @@ class Morphism:
 
 
 def make(source: WeilObject, target: WeilObject, images, check: bool = True) -> Morphism:
-    """Build a morphism from per-generator images (Polynomial or mask->coeff dict)."""
+    """Build a morphism from per-generator images: a Polynomial, a
+    mask->coeff dict, or ``(mask, coeff)`` pairs (repeated masks add up)."""
     if source.rig is not target.rig:
         raise TypeMismatch("source and target rigs differ")
     raw = []
@@ -163,14 +163,11 @@ def validate(source: WeilObject, target: WeilObject, images) -> Morphism:
 def _check_relations(f: Morphism) -> None:
     dicts = f.image_dicts()
     tgt = f.target
-    for i, d in enumerate(dicts, start=1):
-        if dict_mul(d, d, tgt):
-            witness = poly(tgt, dict_mul(d, d, tgt))
-            raise RelationViolation(i, i, witness)
-    for u, v in f.source.graph.edges:
-        prod = dict_mul(dicts[u - 1], dicts[v - 1], tgt)
+    squares = [(i, i) for i in range(1, len(dicts) + 1)]
+    for i, j in squares + list(f.source.graph.edges):
+        prod = dict_mul(dicts[i - 1], dicts[j - 1], tgt)
         if prod:
-            raise RelationViolation(u, v, poly(tgt, prod))
+            raise RelationViolation(i, j, poly(tgt, prod))
 
 
 # ---------------------------------------------------------------------------
@@ -206,32 +203,20 @@ def compose(g: Morphism, f: Morphism, check: bool = True) -> Morphism:
     for terms in f.raw:
         acc: dict[int, int] = {}
         for mask, coeff in terms:
-            term: dict[int, int] = {0: 1}  # empty product; masks OR together
-            m = mask
+            # the monomial's product starts at the image of its lowest generator
+            bit = mask & -mask
+            term = g_dicts[bit.bit_length() - 1]
+            m = mask ^ bit
             while m and term:
                 bit = m & -m
-                term = _subst_step(term, g_dicts[bit.bit_length() - 1], tgt)
+                term = dict_mul(term, g_dicts[bit.bit_length() - 1], tgt)
                 m ^= bit
-            if not term:
-                continue
-            if coeff != 1:
-                term = {k: rig_mod.mul(coeff, c, rig) for k, c in term.items()}
-            dict_add_into(acc, term, rig)
+            dict_add_into(acc, term, rig, coeff)
         out_images.append(poly_trusted(acc))
     result = Morphism(f.source, tgt, tuple(out_images))
     if check:
         _check_relations(result)
     return result
-
-
-def _subst_step(acc: dict[int, int], nxt: dict[int, int], obj: WeilObject) -> dict[int, int]:
-    # multiply a partial product by the image of one more generator
-    if 0 in acc and len(acc) == 1:
-        c = acc[0]
-        if c == 1:
-            return dict(nxt)
-        return {k: rig_mod.mul(c, v, obj.rig) for k, v in nxt.items()}
-    return dict_mul(acc, nxt, obj)
 
 
 def tensor_mor(f: Morphism, g: Morphism) -> Morphism:

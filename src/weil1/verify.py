@@ -473,13 +473,13 @@ def check_foundational_pullback(
     base_mask = (1 << nb) - 1
 
     # certificate part 1: project-and-rebuild is the identity on candidates
-    proj1_dicts = _candidate_projection(cand_p, proj1)
-    proj2_dicts = _candidate_projection(cand_p, proj2)
+    legs1 = _candidate_projection(cand_p, proj1)
+    legs2 = _candidate_projection(cand_p, proj2)
     seen = {}
     inj_ok = True
     detail = ""
     for idx in range(len(cand_p)):
-        key = (proj1_dicts[idx], proj2_dicts[idx])
+        key = (legs1[idx], legs2[idx])
         if key in seen:
             inj_ok = False
             detail = f"candidates {seen[key]} and {idx} project equally"
@@ -513,11 +513,17 @@ def check_foundational_pullback(
         mode = f"sample={sample}"
     prod_ok = True
     detail = ""
-    dicts_p = [dict(t) for t in cand_p]
+    # candidate -> its upstairs and two leg term dicts, built on first use:
+    # a sample touches few of the candidates, and pairs share them
+    dicts: dict[int, tuple[dict, dict, dict]] = {}
     for i, j in pair_iter:
-        up = bool(dict_mul(dicts_p[i], dicts_p[j], p_obj))
-        d1 = bool(dict_mul({m: 1 for m in proj1_dicts[i]}, {m: 1 for m in proj1_dicts[j]}, t1_obj))
-        d2 = bool(dict_mul({m: 1 for m in proj2_dicts[i]}, {m: 1 for m in proj2_dicts[j]}, t2_obj))
+        for k in (i, j):
+            if k not in dicts:
+                dicts[k] = (dict(cand_p[k]), dict.fromkeys(legs1[k], 1), dict.fromkeys(legs2[k], 1))
+        (up_i, l1_i, l2_i), (up_j, l1_j, l2_j) = dicts[i], dicts[j]
+        up = bool(dict_mul(up_i, up_j, p_obj))
+        d1 = bool(dict_mul(l1_i, l1_j, t1_obj))
+        d2 = bool(dict_mul(l2_i, l2_j, t2_obj))
         if up != (d1 or d2):
             prod_ok = False
             detail = f"pair ({i},{j}) disagrees"
@@ -563,12 +569,14 @@ def check_foundational_pullback(
     return AxiomReport(tuple(results))
 
 
-def _candidate_projection(cands, proj: Morphism) -> list[tuple]:
-    """Image term tuples of each candidate under a restriction morphism."""
+def _candidate_projection(cands, proj: Morphism) -> list[tuple[int, ...]]:
+    """Image masks of each candidate under a restriction morphism, in
+    increasing order; each distinct monomial is remapped once."""
     table = mor.restriction_gen_map(proj)
+    image = {m: mor.remap_mask(m, table) for m in {m for terms in cands for m, _ in terms}}
     out = []
     for terms in cands:
-        img = {mor.remap_mask(mask, table) for mask, _ in terms}
+        img = {image[m] for m, _ in terms}
         img.discard(0)  # monomials the projection kills
         out.append(tuple(sorted(img)))
     return out

@@ -94,10 +94,6 @@ def mono_mul(u: int, v: int, obj: WeilObject) -> int:
     return u | v
 
 
-def _mono_valid(mask: int, obj: WeilObject) -> bool:
-    return 0 < mask <= obj.graph.full_mask and is_independent(obj.graph, mask)
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -154,7 +150,7 @@ def checked_terms(ambient: WeilObject, terms) -> dict[int, int]:
         rig_mod.check_coeff(coeff, ambient.rig)
         if coeff == 0:
             continue
-        if not _mono_valid(mask, ambient):
+        if not (0 < mask <= ambient.graph.full_mask and is_independent(ambient.graph, mask)):
             raise ValueError(f"monomial {vertices_of(mask)} is not independent in ambient")
         merged[mask] = rig_mod.add(merged.get(mask, 0), coeff, ambient.rig)
     return merged
@@ -184,46 +180,28 @@ def gen_poly(ambient: WeilObject, i: int) -> Polynomial:
     return poly(ambient, [(1 << (i - 1), 1)])
 
 
+def _term_dict(p: Polynomial) -> dict[int, int]:
+    # the constant rides along as the empty monomial 0, which the kernel
+    # multiplies and adds like any other mask
+    d = p.as_dict()
+    if p.constant:
+        d[0] = p.constant
+    return d
+
+
 def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.ambient != q.ambient:
         raise ValueError("polynomial addition needs a common ambient")
-    rig = p.ambient.rig
-    out = dict(p.terms)
-    for mask, c in q.terms:
-        prev = out.get(mask)
-        out[mask] = c if prev is None else rig_mod.add(prev, c, rig)
-    return poly(p.ambient, out, rig_mod.add(p.constant, q.constant, rig))
+    out = _term_dict(p)
+    dict_add_into(out, _term_dict(q), p.ambient.rig)
+    return poly(p.ambient, out, out.pop(0, 0))
 
 
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.ambient != q.ambient:
         raise ValueError("polynomial multiplication needs a common ambient")
-    amb = p.ambient
-    rig = amb.rig
-    out: dict[int, int] = {}
-    if p.constant and q.constant:
-        const = rig_mod.mul(p.constant, q.constant, rig)
-    else:
-        const = 0
-    if p.constant:
-        for mask, c in q.terms:
-            _accumulate(out, mask, rig_mod.mul(p.constant, c, rig), rig)
-    if q.constant:
-        for mask, c in p.terms:
-            _accumulate(out, mask, rig_mod.mul(q.constant, c, rig), rig)
-    for mu, cu in p.terms:
-        for mv, cv in q.terms:
-            prod = mono_mul(mu, mv, amb)
-            if prod:
-                _accumulate(out, prod, rig_mod.mul(cu, cv, rig), rig)
-    return poly(amb, out, const)
-
-
-def _accumulate(dest: dict[int, int], mask: int, coeff: int, rig: Rig) -> None:
-    if coeff == 0:
-        return
-    prev = dest.get(mask)
-    dest[mask] = coeff if prev is None else rig_mod.add(prev, coeff, rig)
+    out = dict_mul(_term_dict(p), _term_dict(q), p.ambient)
+    return poly(p.ambient, out, out.pop(0, 0))
 
 
 def format_poly(p: Polynomial, letter: str = "y") -> str:
@@ -237,10 +215,13 @@ def format_poly(p: Polynomial, letter: str = "y") -> str:
     return " + ".join(parts) if parts else "0"
 
 
-# fast paths used by morphism composition: raw dict arithmetic, no wrappers
+# the term-dict kernel: every product, sum and scaling of terms goes through
+# these two functions.  A term dict maps monomial masks to non-zero rig
+# coefficients; mask 0, the empty monomial, stands for a constant.
 
 def dict_mul(a: dict[int, int], b: dict[int, int], obj: WeilObject) -> dict[int, int]:
-    """Product of constant-free term dicts in ``obj``."""
+    """Product of term dicts in ``obj``: ``u v`` dies when ``v`` meets ``u``
+    or a neighbour of ``u``, and coefficients multiply."""
     nb = obj.graph.neighbourhood
     out: dict[int, int] = {}
     if obj.rig is Rig.BOOL2:
@@ -259,10 +240,12 @@ def dict_mul(a: dict[int, int], b: dict[int, int], obj: WeilObject) -> dict[int,
     return out
 
 
-def dict_add_into(dest: dict[int, int], src: dict[int, int], rig: Rig) -> None:
+def dict_add_into(dest: dict[int, int], src: dict[int, int], rig: Rig, scale: int = 1) -> None:
+    """``dest += scale * src`` under the rig's addition; ``scale`` is a
+    non-zero rig coefficient (so always 1 over bool2)."""
     if rig is Rig.BOOL2:
         for mask in src:
             dest[mask] = 1
     else:
         for mask, c in src.items():
-            dest[mask] = dest.get(mask, 0) + c
+            dest[mask] = dest.get(mask, 0) + scale * c

@@ -115,7 +115,7 @@ def test_cliques_against_oracle():
             want = brute_cliques(g)
             assert cg.cliques(g) == want
             assert cg.cliques(g, cap=len(want)) == want
-            with pytest.raises(ValueError, match=f"more than {len(want) - 1} cliques"):
+            with pytest.raises(cg.TooLarge, match=f"more than {len(want) - 1} cliques"):
                 cg.cliques(g, cap=len(want) - 1)
 
 

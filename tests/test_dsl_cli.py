@@ -172,17 +172,25 @@ def test_cli_too_large_exit_code(capsys):
     assert code == 4
 
 
-def run_cli_process(*args, timeout):
-    # a fresh process, so that a hang fails the test instead of stalling it
+def cli_env():
     src = os.path.dirname(os.path.dirname(weil1.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_cli_process(*args, timeout):
+    # a fresh process, so that a hang fails the test instead of stalling it
     return subprocess.run([sys.executable, "-m", "weil1.cli", *args], capture_output=True,
-                          text=True, timeout=timeout, env=dict(os.environ, PYTHONPATH=path))
+                          text=True, timeout=timeout, env=cli_env())
 
 
 def test_cli_kappa_guard_is_fast():
-    proc = run_cli_process("kappa", "5W", timeout=5)
-    assert proc.returncode == 4 and "too large" in proc.stderr
+    # the ind+ guard stops the independent-set search itself: ind+(22W) has
+    # 4,194,303 vertices, so building it first would not finish in time
+    for args in (("kappa", "5W"), ("kappa", "22W"), ("hom", "W", "22W"),
+                 ("dot", "--kappa", "22W")):
+        proc = run_cli_process(*args, timeout=5)
+        assert proc.returncode == 4 and "too large" in proc.stderr, args
 
 
 def test_cli_kappa_vertex_cap_is_fast():
@@ -190,8 +198,18 @@ def test_cli_kappa_vertex_cap_is_fast():
     # before the pair loop and before listing every clique
     for obj in ("W^12", "W^20"):
         proc = run_cli_process("kappa", obj, timeout=5)
-        assert proc.returncode == 2
-        assert "more than 63 cliques (vertex count out of range 0..63)" in proc.stderr
+        assert proc.returncode == 4
+        assert "too large: more than 63 cliques" in proc.stderr
+
+
+def test_cli_reader_closing_early_is_not_an_error():
+    proc = subprocess.Popen([sys.executable, "-m", "weil1.cli", "hom", "3W", "3W"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=cli_env())
+    assert proc.stdout.readline() == "64000\n"
+    proc.stdout.close()  # the writer still has megabytes to go
+    _, err = proc.communicate(timeout=20)
+    assert proc.returncode == 0 and err == "", err
 
 
 def test_cli_object_leaf_budget():

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from weil1 import rig as rig_mod
 from weil1.rig import Rig
 from weil1 import cotree as ct
 from weil1 import genexpr as ge
@@ -178,6 +180,61 @@ def test_composition_associative_and_unital_small():
         for f in homs[a, b]:
             assert mor.compose(f, mor.identity(a)) == f
             assert mor.compose(mor.identity(b), f) == f
+
+
+def reference_compose(g, f):
+    # substitution one generator at a time, with the partial product started
+    # at the constant 1 and each term rescaled on its own
+    rig = f.rig
+    tgt = g.target
+    g_dicts = g.image_dicts()
+
+    def subst_step(acc, nxt):
+        if 0 in acc and len(acc) == 1:
+            return {k: rig_mod.mul(acc[0], v, rig) for k, v in nxt.items()}
+        return wa.dict_mul(acc, nxt, tgt)
+
+    images = []
+    for terms in f.raw:
+        acc = {}
+        for mask, coeff in terms:
+            term = {0: 1}
+            m = mask
+            while m and term:
+                bit = m & -m
+                term = subst_step(term, g_dicts[bit.bit_length() - 1])
+                m ^= bit
+            for k, c in term.items():
+                acc[k] = rig_mod.add(acc.get(k, 0), rig_mod.mul(coeff, c, rig), rig)
+        images.append(acc)
+    return mor.make(f.source, tgt, images)
+
+
+def test_compose_matches_reference():
+    # all composable pairs between objects with at most 2 vertices, over
+    # bool2, their nat lifts, and seeded nat lifts with coefficients 1-3
+    rnd = random.Random(3)
+    objs = canonical_objects(2)
+    homs = {(a, b): enumerate_hom(a, b).morphisms for a in objs for b in objs}
+
+    def reweighted(h):
+        return mor.make(h.source, h.target,
+                        [{m: rnd.randint(1, 3) for m, _ in t} for t in h.raw])
+
+    pairs = 0
+    for a, b, c in itertools.product(objs, repeat=3):
+        for rig in (B2, NAT):
+            fs, gs = homs[a, b], homs[b, c]
+            if rig is NAT:
+                fs = [mor.lift_to_nat(f) for f in fs]
+                gs = [mor.lift_to_nat(g) for g in gs]
+                fs += [reweighted(f) for f in fs]
+                gs += [reweighted(g) for g in gs]
+            for f in fs:
+                for g in gs:
+                    assert mor.compose(g, f) == reference_compose(g, f), (g, f)
+                    pairs += 1
+    assert pairs > 10_000
 
 
 def test_composition_preserves_validity():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weil1 import rig as rig_mod
 from weil1.rig import Rig
 from weil1 import cotree as ct
 from weil1 import weilalg as wa
@@ -175,6 +176,77 @@ def test_augmentation_ideal_nilpotency_random_polys():
             for p in polys[1:]:
                 acc = wa.poly_mul(acc, p)
             assert acc.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the term-dict kernel against the term-by-term loops
+# it replaced
+
+def reference_poly_add(p, q):
+    rig = p.ambient.rig
+    out = dict(p.terms)
+    for mask, c in q.terms:
+        prev = out.get(mask)
+        out[mask] = c if prev is None else rig_mod.add(prev, c, rig)
+    return wa.poly(p.ambient, out, rig_mod.add(p.constant, q.constant, rig))
+
+
+def reference_poly_mul(p, q):
+    # the pairwise monomial product loop, one rig operation per term pair
+    amb = p.ambient
+    rig = amb.rig
+    out = {}
+
+    def accumulate(mask, coeff):
+        if coeff:
+            out[mask] = rig_mod.add(out.get(mask, 0), coeff, rig)
+
+    for mask, c in q.terms:
+        accumulate(mask, rig_mod.mul(p.constant, c, rig))
+    for mask, c in p.terms:
+        accumulate(mask, rig_mod.mul(q.constant, c, rig))
+    for mu, cu in p.terms:
+        for mv, cv in q.terms:
+            prod = wa.mono_mul(mu, mv, amb)
+            if prod:
+                accumulate(prod, rig_mod.mul(cu, cv, rig))
+    return wa.poly(amb, out, rig_mod.mul(p.constant, q.constant, rig))
+
+
+def small_polys(a):
+    """Every polynomial of ``a`` with at most 3 terms besides the constant,
+    term coefficients 1-2 and constants 0-2 (both capped by the rig)."""
+    from weil1.cograph import independent_sets
+
+    top = 1 if a.rig is B2 else 2
+    out = []
+    for k in range(4):
+        for masks in itertools.combinations(independent_sets(a.graph), k):
+            for coeffs in itertools.product(range(1, top + 1), repeat=k):
+                for const in range(top + 1):
+                    out.append(wa.poly(a, dict(zip(masks, coeffs)), constant=const))
+    return out
+
+
+@pytest.mark.parametrize("rig", [B2, NAT])
+def test_poly_arithmetic_matches_reference(rig):
+    # every pair over every object with at most 3 vertices, except that the
+    # nat 3-vertex pairs (1.5 million) are sampled
+    rnd = random.Random(11)
+    pairs = 0
+    from weil1.verify import canonical_objects
+
+    for tree in canonical_objects(3):
+        ps = small_polys(obj(tree, rig))
+        if rig is NAT and ct.leaves(tree) == 3:
+            todo = [(rnd.choice(ps), rnd.choice(ps)) for _ in range(2000)]
+        else:
+            todo = itertools.product(ps, repeat=2)
+        for p, q in todo:
+            assert wa.poly_add(p, q) == reference_poly_add(p, q), (p, q)
+            assert wa.poly_mul(p, q) == reference_poly_mul(p, q), (p, q)
+            pairs += 1
+    assert pairs > 8000
 
 
 def test_format_poly():
