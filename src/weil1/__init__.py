@@ -86,6 +86,7 @@ from .verify import (
     enumerate_hom,
     gamma_witness,
     gamma_squares_commute,
+    iter_verify,
     omega_squares_commute,
     omega_witness,
     run_verify,

@@ -146,11 +146,14 @@ def cmd_hom(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = vf.run_verify(max_vertices=args.max_vertices)
-    if args.format == "lines":
-        sys.stdout.write(report.format_lines())
-    else:
-        sys.stdout.write(report.format_text())
+    # each line goes out as its check ends; the whole output is the report's
+    results = []
+    for r in vf.iter_verify(max_vertices=args.max_vertices):
+        print(r.format_line(), flush=True)
+        results.append(r)
+    report = vf.AxiomReport(tuple(results))
+    if args.format != "lines":
+        print(report.summary())
     return EXIT_OK if report.all_passed else EXIT_VERIFICATION
 
 

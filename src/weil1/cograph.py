@@ -171,17 +171,20 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
 
 def independent_sets(g: Graph, include_empty: bool = False) -> list[int]:
     """All independent sets as masks, sorted by (size, lexicographic members)."""
-    out = cliques(g.complement)
+    out = sorted(cliques(g.complement), key=mask_key)
     return out if include_empty else out[1:]
 
 
 def cliques(g: Graph, cap: int | None = None) -> list[int]:
-    """All cliques (including the empty one) as masks, canonically sorted.
+    """All cliques as masks, the empty one first, in depth-first search order.
 
     Depth-first extension by higher-numbered common neighbours, so the cost
-    follows the number of cliques, not the 2^n subsets.  With a ``cap``, the
-    search stops with TooLarge as soon as it has found more than ``cap``
-    cliques, so refusing a huge clique set costs about ``cap`` steps."""
+    follows the number of cliques, not the 2^n subsets.  Every clique after
+    the first is an earlier one plus a bit above all of its own.  The order
+    is not canonical: callers whose order is output sort by ``mask_key``.
+    With a ``cap``, the search stops with TooLarge as soon as it has found
+    more than ``cap`` cliques, so refusing a huge clique set costs about
+    ``cap`` steps."""
     adj = g.adjacency
     out = [0]
     stack = [(0, g.full_mask)]
@@ -195,7 +198,6 @@ def cliques(g: Graph, cap: int | None = None) -> list[int]:
             m ^= bit
         if cap is not None and len(out) > cap:
             raise TooLarge(f"more than {cap} cliques")
-    out.sort(key=mask_key)
     return out
 
 
@@ -214,7 +216,7 @@ def ind_plus(g: Graph, guard: int | None = None) -> DerivedGraph:
     With a ``guard``, raises TooLarge as soon as the enumeration finds more
     than ``guard`` sets, before any edge is built."""
     try:
-        sets = cliques(g.complement, None if guard is None else guard + 1)[1:]
+        sets = sorted(cliques(g.complement, None if guard is None else guard + 1)[1:], key=mask_key)
     except TooLarge:
         raise TooLarge(f"ind+ of a {g.n}-vertex graph has more than {guard} vertices") from None
     edges = set()
@@ -229,7 +231,8 @@ def ind_plus(g: Graph, guard: int | None = None) -> DerivedGraph:
 def cl_graph(g: Graph) -> DerivedGraph:
     """Graph on all cliques of g; distinct cliques are adjacent when their
     union is again a clique (no disjointness required)."""
-    cs = cliques(g, cap=MAX_VERTICES)  # refuse an over-large result before the pair loop
+    # refuse an over-large result before the pair loop
+    cs = sorted(cliques(g, cap=MAX_VERTICES), key=mask_key)
     edges = set()
     for i, u in enumerate(cs):
         for j in range(i + 1, len(cs)):
@@ -247,7 +250,7 @@ def kappa_labels(g: Graph, guard: int = IND_PLUS_GUARD) -> tuple[tuple[int, ...]
     vertices, since the clique count can grow as 2^|ind+|.
     """
     ip = ind_plus(g, guard)
-    return _clique_labels(ip, cliques(ip.graph))
+    return _clique_labels(ip, sorted(cliques(ip.graph), key=mask_key))
 
 
 def kappa(g: Graph) -> DerivedGraph:

@@ -273,9 +273,30 @@ def remap_mask(mask: int, table: tuple[int, ...] | list[int]) -> int:
     return out
 
 
-def restriction_gen_map(proj: Morphism) -> tuple[int, ...]:
-    """The ``remap_mask`` table of a restriction morphism."""
-    return tuple(terms[0][0] if terms else 0 for terms in proj.raw)
+def restriction_gen_map(f: Morphism) -> tuple[int, ...]:
+    """The ``remap_mask`` table of a restriction morphism: one that sends each
+    generator to 0 or, with coefficient 1, to a generator, and whose
+    surviving generators embed as an induced subgraph of the target.  For
+    any other morphism a mask remap is not its composite, so TypeMismatch."""
+    table = []
+    for terms in f.raw:
+        mask, coeff = terms[0] if terms else (0, 1)
+        if len(terms) > 1 or coeff != 1 or mask & (mask - 1):
+            raise TypeMismatch("not a restriction: an image is not 0 or one generator")
+        table.append(mask)
+    kept = sum(1 << i for i, t in enumerate(table) if t)
+    image = 0
+    for t in table:
+        image |= t
+    # f's relations send edges between survivors to edges between their
+    # images, so the survivors embed when the images are distinct and every
+    # survivor has as many neighbours among them as its image has
+    src_adj, tgt_adj = f.source.graph.adjacency, f.target.graph.adjacency
+    if image.bit_count() != kept.bit_count() or any(
+            (src_adj[i] & kept).bit_count() != (tgt_adj[t.bit_length() - 1] & image).bit_count()
+            for i, t in enumerate(table) if t):
+        raise TypeMismatch("not a restriction: the surviving generators do not embed")
+    return tuple(table)
 
 
 def compose_restriction(gen_map: tuple[int, ...], target: WeilObject, f: Morphism) -> Morphism:

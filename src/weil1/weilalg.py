@@ -189,19 +189,25 @@ def _term_dict(p: Polynomial) -> dict[int, int]:
     return d
 
 
+def _from_term_dict(ambient: WeilObject, d: dict[int, int]) -> Polynomial:
+    # the kernel's output is already valid: independent masks, non-zero
+    # coefficients in the rig, and the constant under mask 0
+    constant = d.pop(0, 0)
+    return Polynomial(ambient, constant, size_lex(d.items()))
+
+
 def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.ambient != q.ambient:
         raise ValueError("polynomial addition needs a common ambient")
     out = _term_dict(p)
     dict_add_into(out, _term_dict(q), p.ambient.rig)
-    return poly(p.ambient, out, out.pop(0, 0))
+    return _from_term_dict(p.ambient, out)
 
 
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.ambient != q.ambient:
         raise ValueError("polynomial multiplication needs a common ambient")
-    out = dict_mul(_term_dict(p), _term_dict(q), p.ambient)
-    return poly(p.ambient, out, out.pop(0, 0))
+    return _from_term_dict(p.ambient, dict_mul(_term_dict(p), _term_dict(q), p.ambient))
 
 
 def format_poly(p: Polynomial, letter: str = "y") -> str:

@@ -113,8 +113,13 @@ def test_cliques_against_oracle():
     for n in range(6):
         for g in all_graphs(n):
             want = brute_cliques(g)
-            assert cg.cliques(g) == want
-            assert cg.cliques(g, cap=len(want)) == want
+            got = cg.cliques(g)
+            # depth-first order: the empty clique first, then each clique
+            # after an earlier one that lacks only its highest vertex
+            assert sorted(got, key=cg.mask_key) == want
+            assert got[0] == 0
+            assert all(c ^ 1 << (c.bit_length() - 1) in got[:i] for i, c in enumerate(got) if c)
+            assert cg.cliques(g, cap=len(want)) == got
             with pytest.raises(cg.TooLarge, match=f"more than {len(want) - 1} cliques"):
                 cg.cliques(g, cap=len(want) - 1)
 

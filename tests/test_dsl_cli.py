@@ -1,7 +1,10 @@
+import hashlib
+import io
 import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -13,7 +16,7 @@ from weil1 import genexpr as ge
 from weil1 import morphism as mor
 from weil1 import weilalg as wa
 from weil1.cli import main
-from weil1.verify import canonical_objects, enumerate_hom
+from weil1.verify import canonical_objects, enumerate_hom, run_verify
 
 
 B2, NAT = Rig.BOOL2, Rig.NAT
@@ -290,6 +293,50 @@ def test_cli_verify_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-vertices", "1", "--format", "lines")
     assert code == 0
     assert "AXIOM" in out and "FAIL" not in out
+
+
+def test_cli_verify_flushes_each_line(monkeypatch):
+    class Recorder(io.StringIO):
+        def flush(self):
+            flushed.append(self.getvalue())
+
+    flushed = []
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["verify", "--max-vertices", "1", "--format", "lines"]) == 0
+    lines = run_verify(max_vertices=1).format_lines().splitlines(keepends=True)
+    # each line was flushed before the next one was written
+    assert all("".join(lines[:k]) in flushed for k in range(1, len(lines) + 1))
+
+
+def test_cli_verify_streams_the_report():
+    # the lines go out one by one, and together they are the report's text
+    proc = run_cli_process("verify", "--max-vertices", "1", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_verify(max_vertices=1).format_text()
+
+
+@pytest.mark.slow
+def test_cli_verify_default_run():
+    # the full default suite in a fresh process: its first line comes out
+    # while later checks still run, and the whole output matches its
+    # recorded digest within the time budget
+    start = time.perf_counter()
+    # unbuffered, so that reading the first line leaves the rest in the pipe
+    proc = subprocess.Popen([sys.executable, "-m", "weil1.cli", "verify", "--format", "lines"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+                            env=cli_env())
+    try:
+        first = proc.stdout.readline()
+        streamed = proc.poll() is None
+        rest, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()  # a no-op once it has exited
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, err
+    assert streamed and first.startswith(b"AXIOM ")
+    assert hashlib.sha256(first + rest).hexdigest() == (
+        "5f03a4e1dbb8e2c46ad3142a00634f08043ee0fe95523776f754e2c8f0d7fdfa")
+    assert elapsed < 60.0, f"weil1 verify took {elapsed:.1f}s of its 60s budget"
 
 
 def test_cli_file_input(tmp_path, capsys):

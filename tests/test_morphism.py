@@ -162,6 +162,23 @@ def test_compose_restriction_matches_compose():
                 assert mor.compose_restriction(mor.restriction_gen_map(p), t, f) == mor.compose(p, f)
 
 
+def test_restriction_gen_map_refuses_other_maps():
+    # accepted: projections, the swap, and maps that kill everything
+    assert mor.restriction_gen_map(mor.projection(W2, 2)) == (0, 0b1)
+    assert mor.restriction_gen_map(mor.make(WW, WW, [{0b10: 1}, {0b01: 1}])) == (0b10, 0b01)
+    assert mor.restriction_gen_map(mor.zero_map(W2, W)) == (0, 0)
+    refused = [
+        mor.make(W, WW, [{0b11: 1}]),                       # a product of generators
+        mor.make(W, W2, [{0b01: 1, 0b10: 1}]),              # a sum
+        mor.make(W2, W, [{1: 1}, {1: 1}]),                  # two generators to one
+        mor.make(WW, W2, [{0b01: 1}, {0b10: 1}]),          # non-adjacent to adjacent
+        mor.make(wa.algebra_of(ct.W, NAT), wa.algebra_of(ct.W, NAT), [{1: 2}]),  # scaled
+    ]
+    for f in refused:
+        with pytest.raises(mor.TypeMismatch):
+            mor.restriction_gen_map(f)
+
+
 def test_composition_associative_and_unital_small():
     objs = [wa.algebra_of(t, B2) for t in canonical_objects(2)]
     homs = {}

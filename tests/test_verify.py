@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -139,6 +140,180 @@ def test_foundational_pullback_certificate_counts():
     report = vf.check_foundational_pullback(ct.n_tensor(2), ct.W, ct.W)
     idents = {r.ident.split("(")[0] for r in report.results}
     assert "pullback.injective" in idents and "pullback.count" in idents
+
+
+def reference_pullback(b, a1, a2, apex_max=2, cone_budget=200_000, sample=20_000, seed=7):
+    """Oracle: the term-level pullback check that the kappa-vertex one
+    replaced.  Candidates are term tuples, products are ``dict_mul``s, and
+    the cone sweep composes whole morphisms.  Returns (ident, passed) pairs."""
+    name = f"({ct.format_cotree(b)},{ct.format_cotree(a1)},{ct.format_cotree(a2)})"
+    if a1.kind == "K" or a2.kind == "K":
+        return [(f"pullback.degenerate{name}", True)]
+    p_tree, t1_tree, t2_tree = ct.tensor(b, ct.join(a1, a2)), ct.tensor(b, a1), ct.tensor(b, a2)
+    p_obj, t1_obj, t2_obj = (wa.algebra_of(t, B2) for t in (p_tree, t1_tree, t2_tree))
+    if b.kind == "K":
+        at, k1, k2 = 0, 1, 1
+    else:
+        at, k1, k2 = len(ct.factors(b)) + 1, len(ct.factors(a1)), len(ct.factors(a2))
+    proj1, proj2 = mor.pair_projections(p_obj, at, t1_obj, t2_obj, k1, k2)
+    cand_p = vf.kappa_candidates(p_tree, guard=63)
+    base_mask = (1 << wa.algebra_of(b, B2).n) - 1
+
+    def projected(proj):
+        table = mor.restriction_gen_map(proj)
+        return [tuple(sorted({mor.remap_mask(m, table) for m, _ in terms} - {0}))
+                for terms in cand_p]
+
+    legs1, legs2 = projected(proj1), projected(proj2)
+    inj_ok = len(set(zip(legs1, legs2))) == len(cand_p)
+    out = [(f"pullback.injective{name}(candidates={len(cand_p)})", inj_ok)]
+
+    def buckets(tree):
+        keys = [tuple(sorted(m for m, _ in terms if m & base_mask == m))
+                for terms in vf.kappa_candidates(tree)]
+        return {k: keys.count(k) for k in set(keys)}
+
+    b1, b2 = buckets(t1_tree), buckets(t2_tree)
+    compat = sum(n * b2.get(k, 0) for k, n in b1.items())
+    out.append((f"pullback.count{name}(pairs={compat})", compat == len(cand_p)))
+
+    rng = random.Random(seed)
+    n = len(cand_p)
+    if n * (n - 1) // 2 <= sample:
+        pairs, mode = [(i, j) for i in range(n) for j in range(i, n)], "all"
+    else:
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(sample)]
+        mode = f"sample={sample}"
+    prod_ok = True
+    for i, j in pairs:
+        up = wa.dict_mul(dict(cand_p[i]), dict(cand_p[j]), p_obj)
+        d1 = wa.dict_mul(dict.fromkeys(legs1[i], 1), dict.fromkeys(legs1[j], 1), t1_obj)
+        d2 = wa.dict_mul(dict.fromkeys(legs2[i], 1), dict.fromkeys(legs2[j], 1), t2_obj)
+        prod_ok = prod_ok and bool(up) == bool(d1 or d2)
+    out.append((f"pullback.products{name}({mode})", prod_ok))
+
+    base_obj = wa.algebra_of(b, B2)
+    base1 = mor.tensor_mor(mor.identity(base_obj), mor.eps(wa.algebra_of(a1, B2)))
+    base2 = mor.tensor_mor(mor.identity(base_obj), mor.eps(wa.algebra_of(a2, B2)))
+    for apex in vf.canonical_objects(apex_max):
+        x = wa.algebra_of(apex, B2)
+        ident = f"pullback.cones{name}[{ct.format_cotree(apex)}]"
+        if compat ** max(x.n, 1) > cone_budget:
+            out.append((ident + "(certified)", inj_ok and compat == len(cand_p) and prod_ok))
+            continue
+        by_base = {}
+        for f2 in vf.enumerate_hom(x, t2_obj):
+            by_base.setdefault(mor.compose(base2, f2), []).append(f2)
+        by_pair = {}
+        for u in vf.enumerate_hom(x, p_obj):
+            key = (mor.compose(proj1, u), mor.compose(proj2, u))
+            by_pair[key] = by_pair.get(key, 0) + 1
+        cones = [(f1, f2) for f1 in vf.enumerate_hom(x, t1_obj)
+                 for f2 in by_base.get(mor.compose(base1, f1), [])]
+        ok = all(by_pair.get(cone, 0) == 1 for cone in cones)
+        out.append((ident + f"(cones={len(cones)})", ok))
+    return out
+
+
+def _verdicts(report):
+    return [(r.ident, r.passed) for r in report.results]
+
+
+SMALL_TRIPLES = list(itertools.product(vf.canonical_objects(1), repeat=3))
+# two-vertex squares, among them ones whose legs differ (a1 != a2)
+TWO_VERTEX_TRIPLES = [
+    (ct.n_tensor(2), ct.W, ct.n_tensor(2)), (ct.n_tensor(2), ct.W, ct.n_join(2)),
+    (ct.n_join(2), ct.W, ct.n_tensor(2)), (ct.W, ct.n_tensor(2), ct.n_join(2)),
+    (ct.n_join(2), ct.n_join(2), ct.W), (ct.n_join(2), ct.n_tensor(2), ct.W),
+]
+
+
+@pytest.mark.parametrize("triple", SMALL_TRIPLES + TWO_VERTEX_TRIPLES,
+                         ids=lambda t: ",".join(ct.format_cotree(x) for x in t))
+def test_foundational_pullback_matches_reference(triple):
+    assert _verdicts(vf.check_foundational_pullback(*triple)) == reference_pullback(*triple)
+
+
+def _vertex_tables(triple):
+    """Every (restriction, vertex table) pair the pullback check builds."""
+    built = []
+    real = vf._vertex_table
+
+    def record(f, src, dst):
+        built.append((f, real(f, src, dst)))
+        return built[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vf, "_vertex_table", record)
+        vf.check_foundational_pullback(*triple)
+    return built
+
+
+def _check_with_table(monkeypatch, triple, k, table):
+    """The pullback check with its k-th vertex table replaced."""
+    calls = []
+    real = vf._vertex_table
+
+    def patched(f, src, dst):
+        calls.append(f)
+        return table if len(calls) - 1 == k else real(f, src, dst)
+
+    monkeypatch.setattr(vf, "_vertex_table", patched)
+    return vf.check_foundational_pullback(*triple)
+
+
+def _verdicts_with_table(monkeypatch, triple, k, table):
+    """PASS/FAIL per kind of check, with the k-th vertex table replaced."""
+    report = _check_with_table(monkeypatch, triple, k, table)
+    return {r.ident.split("(")[0]: r.passed for r in report.results}
+
+
+CORRUPTED_TRIPLES = [(ct.W, ct.W, ct.W), (ct.n_tensor(2), ct.W, ct.n_join(2))]
+
+
+@pytest.mark.parametrize("triple", CORRUPTED_TRIPLES, ids=["W,W,W", "2W,W,W^2"])
+def test_corrupted_leg_table_fails_the_certificate(monkeypatch, triple):
+    p_obj = wa.algebra_of(ct.tensor(triple[0], ct.join(triple[1], triple[2])), B2)
+    legs = [(k, table) for k, (f, table) in enumerate(_vertex_tables(triple)) if f.source == p_obj]
+    assert len(legs) == 2
+    for k, table in legs:
+        hit = [i for i, bit in enumerate(table) if bit]
+        for n, i in enumerate(hit):
+            # drop vertex i's image, or send it where the previous vertex goes
+            for bit in {0, table[hit[n - 1]]} - {table[i]}:
+                verdict = _verdicts_with_table(
+                    monkeypatch, triple, k, table[:i] + (bit,) + table[i + 1:])
+                assert not (verdict["pullback.injective"] and verdict["pullback.products"]), \
+                    (k, i, bit)
+
+
+def test_failed_cone_names_its_morphisms(monkeypatch):
+    # proj1 forgets that it keeps y1, so the cone (y1, y1) has no factorization
+    triple = (ct.W, ct.W, ct.W)
+    table = _vertex_tables(triple)[0][1]
+    i = table.index(0b1)
+    report = _check_with_table(monkeypatch, triple, 0, table[:i] + (0,) + table[i + 1:])
+    details = {r.ident: r.detail for r in report.results}
+    assert details["pullback.cones(W,W,W)[W](cones=5)"] == (
+        "cone (Morphism(W -> 2W; x1 |-> y1), Morphism(W -> 2W; x1 |-> y1)) has 0 factorizations")
+
+
+@pytest.mark.parametrize("triple", CORRUPTED_TRIPLES, ids=["W,W,W", "2W,W,W^2"])
+def test_corrupted_base_key_fails_the_count(monkeypatch, triple):
+    base_obj = wa.algebra_of(triple[0], B2)
+    n_base = cg.ind_plus(base_obj.graph).graph.n
+    keys = [(k, table) for k, (f, table) in enumerate(_vertex_tables(triple))
+            if f.target == base_obj]
+    assert len(keys) == 2
+    for k, table in keys:
+        for i in range(len(table)):
+            # a pure-base vertex loses its key; any other vertex gains one.
+            # (Moving a key to another base vertex can be a symmetry of the
+            # base, which leaves every count as it was.)
+            for bit in [0] if table[i] else [1 << i % n_base]:
+                verdict = _verdicts_with_table(
+                    monkeypatch, triple, k, table[:i] + (bit,) + table[i + 1:])
+                assert not verdict["pullback.count"], (k, i, bit)
 
 
 # ---------------------------------------------------------------------------
@@ -286,5 +461,7 @@ def test_nat_fullness_examples():
 def test_run_verify_small():
     report = vf.run_verify(max_vertices=1)
     assert report.all_passed, report.failures()
+    assert hashlib.sha256(report.format_lines().encode()).hexdigest() == (
+        "48a3b2a4e6a9469d74410e8b514ed84f9facc93c3c6328648f80bfc7ddc71214")
     assert any(r.ident.startswith("tangent.Tm") for r in report.results)
     assert any(r.ident.startswith("kleisli.bijection") for r in report.results)
