@@ -195,6 +195,12 @@ def _morphism_dot(f: mor.Morphism) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _natural(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer 0 or more, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rig", choices=["bool2", "nat"], default=argparse.SUPPRESS,
@@ -249,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hom)
 
     p = sub.add_parser("verify", parents=[common], help="run the axiom suite")
-    p.add_argument("--max-vertices", type=int, default=2)
+    p.add_argument("--max-vertices", type=_natural, default=2)
     p.add_argument("--format", choices=["text", "lines"], default="text")
     p.set_defaults(func=cmd_verify)
 

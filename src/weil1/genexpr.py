@@ -510,9 +510,8 @@ def _split_data(target: "mor.WeilObject"):
         at = t
         k1 = len(factors(b1))
         k2 = len(factors(b2))
-    p1, p2 = mor.pair_projections(target, at, t1_obj, t2_obj, k1, k2)
-    return (at, k1, k2, t1_obj, t2_obj,
-            mor.restriction_gen_map(p1), mor.restriction_gen_map(p2))
+    *_, gm1, gm2 = mor.pair_layout(t1_obj, t2_obj, at, k1, k2)
+    return at, k1, k2, t1_obj, t2_obj, gm1, gm2
 
 
 def _split_at_join(f: Morphism, trace: _Trace, tag: str, recurse) -> GenExpr:

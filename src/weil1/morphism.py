@@ -240,22 +240,9 @@ def projection(prod: WeilObject, side: int) -> Morphism:
         raise TypeMismatch(f"projection needs a product object, got {t!r}")
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    left = t.parts[0]
-    right = join(*t.parts[1:])
-    kept = left if side == 1 else right
-    offset = 0 if side == 1 else leaves(left)
-    target = algebra_of(kept, prod.rig)
-    gen_map = {offset + j + 1: j + 1 for j in range(leaves(kept))}
-    return restriction(prod, target, gen_map)
-
-
-def restriction(source: WeilObject, target: WeilObject, gen_map: dict[int, int]) -> Morphism:
-    """Map sending generator i to generator gen_map[i] (others to 0)."""
-    images = []
-    for i in range(1, source.n + 1):
-        j = gen_map.get(i)
-        images.append({} if j is None else {1 << (j - 1): 1})
-    return make(source, target, images, check=True)
+    left = algebra_of(t.parts[0], prod.rig)
+    right = algebra_of(join(*t.parts[1:]), prod.rig)
+    return pair_projections(prod, 0, left, right)[side - 1]
 
 
 def remap_mask(mask: int, table: tuple[int, ...] | list[int]) -> int:
@@ -338,7 +325,8 @@ def pair_into(
         raise TypeMismatch("pair needs a common source")
     if f1.rig is not f2.rig:
         raise TypeMismatch("pair requires matching rigs")
-    target, map1, map2, block1, block2 = _pair_layout(f1.target, f2.target, at, k1, k2)
+    target, map1, map2, block1, block2, proj1, proj2 = pair_layout(
+        f1.target, f2.target, at, k1, k2)
     images = []
     for terms1, terms2 in zip(f1.raw, f2.raw):
         acc: dict[int, int] = {}
@@ -363,16 +351,16 @@ def pair_into(
     u = Morphism(f1.source, target, tuple(images))
     if check:
         _check_relations(u)
-        p1m, p2m = pair_projections(target, at, f1.target, f2.target, k1, k2)
-        if compose(p1m, u, check=False) != f1 or compose(p2m, u, check=False) != f2:
+        if (compose_restriction(proj1, f1.target, u) != f1
+                or compose_restriction(proj2, f2.target, u) != f2):
             raise TypeMismatch("pairing failed to reproduce its components")
     return u
 
 
 @lru_cache(maxsize=None)
-def _pair_layout(o1: WeilObject, o2: WeilObject, at: int, k1: int = 1, k2: int = 1):
-    """Target object, ``remap_mask`` tables embedding each target's
-    generators, and the two block masks for pair_into."""
+def pair_layout(o1: WeilObject, o2: WeilObject, at: int, k1: int = 1, k2: int = 1):
+    """Target object, ``remap_mask`` tables embedding each target's generators,
+    the two block masks for pair_into, and the embeddings' inverses: the projections."""
     t1, t2 = o1.cotree, o2.cotree
     if at == 0:
         # the plain product: blocks t1 and t2 with an empty context
@@ -396,9 +384,14 @@ def _pair_layout(o1: WeilObject, o2: WeilObject, at: int, k1: int = 1, k2: int =
     total = np + nb1 + nb2 + ns
     map1 = tuple(1 << j for j in range(total) if not np + nb1 <= j < np + nb1 + nb2)
     map2 = tuple(1 << j for j in range(total) if not np <= j < np + nb1)
+    proj1, proj2 = [0] * total, [0] * total
+    for proj, emb in ((proj1, map1), (proj2, map2)):
+        for i, bit in enumerate(emb):
+            proj[bit.bit_length() - 1] = 1 << i
     block1 = ((1 << nb1) - 1) << np
     block2 = ((1 << nb2) - 1) << (np + nb1)
-    return algebra_of(target, o1.rig), map1, map2, block1, block2
+    return (algebra_of(target, o1.rig), map1, map2, block1, block2,
+            tuple(proj1), tuple(proj2))
 
 
 def pair_projections(
@@ -410,12 +403,11 @@ def pair_projections(
     k2: int = 1,
 ) -> tuple[Morphism, Morphism]:
     """The two context projections out of a pair_into target."""
-    merged, map1, map2, _, _ = _pair_layout(t1_obj, t2_obj, at, k1, k2)
+    merged, _, _, _, _, proj1, proj2 = pair_layout(t1_obj, t2_obj, at, k1, k2)
     if merged != target:
         raise TypeMismatch("projections requested for a mismatched pair target")
-    inv1 = {bit.bit_length(): i + 1 for i, bit in enumerate(map1)}
-    inv2 = {bit.bit_length(): i + 1 for i, bit in enumerate(map2)}
-    return restriction(target, t1_obj, inv1), restriction(target, t2_obj, inv2)
+    return tuple(Morphism(target, obj, tuple(((b, 1),) if b else () for b in proj))
+                 for obj, proj in ((t1_obj, proj1), (t2_obj, proj2)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,16 @@ from .cograph import (
     IND_PLUS_GUARD, MAX_VERTICES, DerivedGraph, Graph, TooLarge, cliques, ind_plus, kappa_labels,
     vertices_of,
 )
-from .cotree import Cotree, K, W, cotree_decompose, format_cotree, join, n_join, n_tensor, tensor
+from .cotree import Cotree, K, W, cotree_decompose, factors, format_cotree, n_join, n_tensor, tensor
 from .weilalg import WeilObject, algebra_of, dict_mul, poly_trusted
 from . import morphism as mor
 from .morphism import Morphism, RigMismatch, TypeMismatch
 from .genexpr import SlotAssignment, circles_of
+
+
+# the pullback check refuses, with TooLarge, a P with more kappa vertices than
+# this; the largest square of the default ``weil1 verify``, (2W,2W,2W), has 791,552
+PULLBACK_CANDIDATES = 1_000_000
 
 
 class ChoiceAmbiguous(Exception):
@@ -453,7 +458,9 @@ def check_foundational_pullback(
     morphism from an apex is one clique of ind+ per generator, two images
     multiply to zero exactly when their union is a clique, and the
     projections P -> Ti and the bases Ti -> B act through one vertex table
-    each.
+    each: the projections' generator tables are ``morphism.pair_layout``'s,
+    and ``id (x) eps`` keeps B's generators, which come first in Ti, and
+    kills Ai's.  More than ``PULLBACK_CANDIDATES`` cliques raise TooLarge.
 
     Where the full cone set fits the budget it is swept cone by cone, on
     tuples of candidate indices.  Where it does not, an exact certificate
@@ -468,31 +475,27 @@ def check_foundational_pullback(
     """
     rig = Rig.BOOL2
     name = f"({format_cotree(b)},{format_cotree(a1)},{format_cotree(a2)})"
-    p_obj = algebra_of(tensor(b, join(a1, a2)), rig)
     t1_obj = algebra_of(tensor(b, a1), rig)
     t2_obj = algebra_of(tensor(b, a2), rig)
     if a1.kind == "K" or a2.kind == "K":
         # one side is the unit; the square is degenerate and the pairing is
         # the identity on the other side, which leaves nothing to check
         return AxiomReport((_result(f"pullback.degenerate{name}", True),))
-    from .cotree import factors as tensor_factors
-
     if b.kind == "K":
         at, k1, k2 = 0, 1, 1
     else:
-        at = len(tensor_factors(b)) + 1
-        k1 = len(tensor_factors(a1))
-        k2 = len(tensor_factors(a2))
-    proj1, proj2 = mor.pair_projections(p_obj, at, t1_obj, t2_obj, k1, k2)
+        at, k1, k2 = len(factors(b)) + 1, len(factors(a1)), len(factors(a2))
+    p_obj, _, _, _, _, proj1, proj2 = mor.pair_layout(t1_obj, t2_obj, at, k1, k2)
     base_obj = algebra_of(b, rig)
-    base1 = mor.tensor_mor(mor.identity(base_obj), mor.eps(algebra_of(a1, rig)))
-    base2 = mor.tensor_mor(mor.identity(base_obj), mor.eps(algebra_of(a2, rig)))
+    base1, base2 = (tuple(1 << j if j < base_obj.n else 0 for j in range(t.n))
+                    for t in (t1_obj, t2_obj))
 
     ip_p = ind_plus(p_obj.graph, MAX_VERTICES)
     ip1 = ind_plus(t1_obj.graph, IND_PLUS_GUARD)
     ip2 = ind_plus(t2_obj.graph, IND_PLUS_GUARD)
     ip_b = ind_plus(base_obj.graph)
-    cand_p = cliques(ip_p.graph)
+    # each leg embeds in P, so its cliques are cliques of P's: one cap bounds all three
+    cand_p = cliques(ip_p.graph, PULLBACK_CANDIDATES)
     cand_1 = cliques(ip1.graph)
     cand_2 = cliques(ip2.graph)
     legs1 = _images(cand_p, _vertex_table(proj1, ip_p, ip1))
@@ -582,13 +585,12 @@ def check_foundational_pullback(
     return AxiomReport(tuple(results))
 
 
-def _vertex_table(f: Morphism, src: DerivedGraph, dst: DerivedGraph) -> tuple[int, ...]:
-    """A restriction ``f`` on ind+ vertices: entry i is the bit of the vertex
-    of ``dst`` (ind+ of f's target) that f sends vertex i+1 of ``src`` (ind+
-    of f's source) to, or 0 when f kills that monomial."""
-    gen_table = mor.restriction_gen_map(f)
+def _vertex_table(gen_map: tuple[int, ...], src: DerivedGraph, dst: DerivedGraph) -> tuple[int, ...]:
+    """A restriction with ``remap_mask`` table ``gen_map`` on ind+ vertices:
+    entry i is the bit of the vertex of ``dst`` (ind+ of its target) that it
+    sends vertex i+1 of ``src`` (ind+ of its source) to, or 0 if killed."""
     bit_of = {m: 1 << i for i, m in enumerate(dst.labels)}
-    return tuple(bit_of.get(mor.remap_mask(m, gen_table), 0) for m in src.labels)
+    return tuple(bit_of.get(mor.remap_mask(m, gen_map), 0) for m in src.labels)
 
 
 def _images(cands: list[int], table: tuple[int, ...]) -> list[int]:

@@ -15,7 +15,7 @@ from weil1 import dsl
 from weil1 import genexpr as ge
 from weil1 import morphism as mor
 from weil1 import weilalg as wa
-from weil1.cli import main
+from weil1.cli import build_parser, main
 from weil1.verify import canonical_objects, enumerate_hom, run_verify
 
 
@@ -293,6 +293,15 @@ def test_cli_verify_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-vertices", "1", "--format", "lines")
     assert code == 0
     assert "AXIOM" in out and "FAIL" not in out
+
+
+def test_cli_verify_refuses_negative_max_vertices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-vertices", "-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and not captured.out
+    assert "--max-vertices: expected an integer 0 or more, got '-1'" in captured.err
+    assert build_parser().parse_args(["verify", "--max-vertices", "0"]).max_vertices == 0
 
 
 def test_cli_verify_flushes_each_line(monkeypatch):

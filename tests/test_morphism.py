@@ -179,6 +179,64 @@ def test_restriction_gen_map_refuses_other_maps():
             mor.restriction_gen_map(f)
 
 
+def _reference_restriction(source, target, gen_map):
+    """Oracle: the map sending generator i to generator gen_map[i] (others to
+    0), built through make with its relation check."""
+    images = [{1 << (gen_map[i] - 1): 1} if i in gen_map else {}
+              for i in range(1, source.n + 1)]
+    return mor.make(source, target, images, check=True)
+
+
+def _pair_layouts(max_vertices, rig):
+    """Every (o1, o2, (at, k1, k2), layout) that pair_layout accepts for
+    non-unit objects, with a target of at most max_vertices generators."""
+    objs = [wa.algebra_of(t, rig) for t in canonical_objects(max_vertices) if t.kind != "K"]
+    for o1, o2 in itertools.product(objs, repeat=2):
+        n1, n2 = len(ct.factors(o1.cotree)), len(ct.factors(o2.cotree))
+        shapes = [(0, 1, 1)] + [(at, k1, k2) for at in range(1, min(n1, n2) + 1)
+                                for k1 in range(1, n1 - at + 2) for k2 in range(1, n2 - at + 2)]
+        for shape in shapes:
+            try:
+                layout = mor.pair_layout(o1, o2, *shape)
+            except mor.TypeMismatch:
+                continue
+            if layout[0].n <= max_vertices:
+                yield o1, o2, shape, layout
+
+
+@pytest.mark.parametrize("rig", [B2, NAT])
+def test_pair_layout_projection_tables_match_checked_restrictions(rig):
+    # each projection table is its embedding's inverse, as the checked
+    # restriction built from that embedding reads it back
+    count = 0
+    for o1, o2, (at, k1, k2), layout in _pair_layouts(5, rig):
+        target, map1, map2, _, _, proj1, proj2 = layout
+        refs = []
+        for obj, emb, table in ((o1, map1, proj1), (o2, map2, proj2)):
+            ref = _reference_restriction(
+                target, obj, {bit.bit_length(): i + 1 for i, bit in enumerate(emb)})
+            assert mor.restriction_gen_map(ref) == table, (o1, o2, at, k1, k2)
+            refs.append(ref)
+        projs = mor.pair_projections(target, at, o1, o2, k1, k2)
+        assert projs == tuple(refs), (o1, o2, at, k1, k2)
+        assert tuple(map(mor.restriction_gen_map, projs)) == (proj1, proj2)
+        count += 1
+    assert count == 153
+
+
+@pytest.mark.parametrize("rig", [B2, NAT])
+def test_projection_matches_checked_restriction(rig):
+    products = [t for t in canonical_objects(4) if t.kind == "join"]
+    assert len(products) == 8
+    for t in products:
+        prod = wa.algebra_of(t, rig)
+        left, right = t.parts[0], ct.join(*t.parts[1:])
+        for side, kept, offset in ((1, left, 0), (2, right, ct.leaves(left))):
+            gen_map = {offset + j + 1: j + 1 for j in range(ct.leaves(kept))}
+            ref = _reference_restriction(prod, wa.algebra_of(kept, rig), gen_map)
+            assert mor.projection(prod, side) == ref, (t, side)
+
+
 def test_composition_associative_and_unital_small():
     objs = [wa.algebra_of(t, B2) for t in canonical_objects(2)]
     homs = {}

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -235,13 +236,14 @@ def test_foundational_pullback_matches_reference(triple):
 
 
 def _vertex_tables(triple):
-    """Every (restriction, vertex table) pair the pullback check builds."""
+    """Every vertex table the pullback check builds, in call order, as
+    (ind+ of the source, ind+ of the target, table)."""
     built = []
     real = vf._vertex_table
 
-    def record(f, src, dst):
-        built.append((f, real(f, src, dst)))
-        return built[-1][1]
+    def record(gen_map, src, dst):
+        built.append((src, dst, real(gen_map, src, dst)))
+        return built[-1][2]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vf, "_vertex_table", record)
@@ -254,9 +256,9 @@ def _check_with_table(monkeypatch, triple, k, table):
     calls = []
     real = vf._vertex_table
 
-    def patched(f, src, dst):
-        calls.append(f)
-        return table if len(calls) - 1 == k else real(f, src, dst)
+    def patched(gen_map, src, dst):
+        calls.append(gen_map)
+        return table if len(calls) - 1 == k else real(gen_map, src, dst)
 
     monkeypatch.setattr(vf, "_vertex_table", patched)
     return vf.check_foundational_pullback(*triple)
@@ -274,7 +276,8 @@ CORRUPTED_TRIPLES = [(ct.W, ct.W, ct.W), (ct.n_tensor(2), ct.W, ct.n_join(2))]
 @pytest.mark.parametrize("triple", CORRUPTED_TRIPLES, ids=["W,W,W", "2W,W,W^2"])
 def test_corrupted_leg_table_fails_the_certificate(monkeypatch, triple):
     p_obj = wa.algebra_of(ct.tensor(triple[0], ct.join(triple[1], triple[2])), B2)
-    legs = [(k, table) for k, (f, table) in enumerate(_vertex_tables(triple)) if f.source == p_obj]
+    ip_p = cg.ind_plus(p_obj.graph)
+    legs = [(k, table) for k, (src, _, table) in enumerate(_vertex_tables(triple)) if src == ip_p]
     assert len(legs) == 2
     for k, table in legs:
         hit = [i for i, bit in enumerate(table) if bit]
@@ -290,7 +293,7 @@ def test_corrupted_leg_table_fails_the_certificate(monkeypatch, triple):
 def test_failed_cone_names_its_morphisms(monkeypatch):
     # proj1 forgets that it keeps y1, so the cone (y1, y1) has no factorization
     triple = (ct.W, ct.W, ct.W)
-    table = _vertex_tables(triple)[0][1]
+    table = _vertex_tables(triple)[0][2]
     i = table.index(0b1)
     report = _check_with_table(monkeypatch, triple, 0, table[:i] + (0,) + table[i + 1:])
     details = {r.ident: r.detail for r in report.results}
@@ -300,10 +303,9 @@ def test_failed_cone_names_its_morphisms(monkeypatch):
 
 @pytest.mark.parametrize("triple", CORRUPTED_TRIPLES, ids=["W,W,W", "2W,W,W^2"])
 def test_corrupted_base_key_fails_the_count(monkeypatch, triple):
-    base_obj = wa.algebra_of(triple[0], B2)
-    n_base = cg.ind_plus(base_obj.graph).graph.n
-    keys = [(k, table) for k, (f, table) in enumerate(_vertex_tables(triple))
-            if f.target == base_obj]
+    ip_b = cg.ind_plus(wa.algebra_of(triple[0], B2).graph)
+    n_base = ip_b.graph.n
+    keys = [(k, table) for k, (_, dst, table) in enumerate(_vertex_tables(triple)) if dst == ip_b]
     assert len(keys) == 2
     for k, table in keys:
         for i in range(len(table)):
@@ -314,6 +316,16 @@ def test_corrupted_base_key_fails_the_count(monkeypatch, triple):
                 verdict = _verdicts_with_table(
                     monkeypatch, triple, k, table[:i] + (bit,) + table[i + 1:])
                 assert not verdict["pullback.count"], (k, i, bit)
+
+
+def test_pullback_candidate_list_is_bounded():
+    # the default verify's largest list, (2W,2W,2W), fits under the cap;
+    # (2W,W,3W) has more cliques of ind+(P) than the cap and is refused fast
+    assert vf.PULLBACK_CANDIDATES >= 791_552
+    start = time.perf_counter()
+    with pytest.raises(vf.TooLarge):
+        vf.check_foundational_pullback(ct.n_tensor(2), ct.W, ct.n_tensor(3))
+    assert time.perf_counter() - start < 10
 
 
 # ---------------------------------------------------------------------------
