@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Inputs may be inline text, a path to a UTF-8 file, or ``-`` for stdin.
-Exit codes: 0 ok, 1 syntax error, 2 validation error, 3 verification
-failure, 4 size guard.
+Exit codes: 0 ok, 1 syntax error, 2 invalid input (bad relations, type
+mismatches, non-cographs), 3 verification failure, 4 a size budget
+refused the work before it started.
 """
 
 from __future__ import annotations
@@ -125,6 +126,7 @@ def _parse_graph(text: str) -> cg.Graph:
     try:
         head, _, rest = text.partition(";")
         n = int(head.strip())
+        ct.check_vertex_budget(n)  # before the graph takes memory
         edges = []
         for piece in rest.replace(",", " ").split():
             u, _, v = piece.partition("-")

@@ -1,9 +1,12 @@
-"""Finite simple graphs with bitmask vertex sets, and the derived graphs
+"""Finite simple graphs held as neighbour bitmasks, and the derived graphs
 ind+, cl and kappa that drive the morphism calculus.
 
 Vertices are labelled 1..n; a vertex set is an int bitmask with bit i-1 for
-vertex i.  Graphs are capped at 63 vertices.  Every independence, product
-and clique test goes through one kernel, ``Graph.neighbourhood``.
+vertex i, so a graph may have any number of vertices.  Every independence,
+product and clique test goes through one kernel, ``Graph.neighbourhood``.
+The work that can explode has named budgets that raise TooLarge before it
+starts: ``IND_PLUS_GUARD`` for the independent sets behind kappa and
+``CL_VERTICES`` for the cliques of a ``cl`` graph.
 """
 
 from __future__ import annotations
@@ -11,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-MAX_VERTICES = 63
 IND_PLUS_GUARD = 20
+# cl_graph refuses a graph with more cliques than this before its pair loop
+CL_VERTICES = 63
 
 
 class TooLarge(Exception):
@@ -29,31 +33,23 @@ class NotACograph(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple graph on vertices 1..n; edges are sorted pairs (u, v), u < v."""
+    """Simple graph on vertices 1..n, held as its neighbour masks:
+    ``adjacency[i]`` is the mask of the neighbours of vertex i+1.
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
+    The masks are trusted (symmetric, no loops): the builders below keep
+    them so, and ``graph`` is the checked constructor for outside input."""
+
+    adjacency: tuple[int, ...]
+    n: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 0 or self.n > MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} out of range 0..{MAX_VERTICES}")
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
-        object.__setattr__(self, "_hash", hash((self.n, self.edges)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        object.__setattr__(self, "n", len(self.adjacency))
 
     @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        """Neighbour bitmask per vertex; index i holds neighbours of vertex i+1."""
-        adj = [0] * self.n
-        for u, v in self.edges:
-            adj[u - 1] |= 1 << (v - 1)
-            adj[v - 1] |= 1 << (u - 1)
-        return tuple(adj)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as sorted pairs (u, v), u < v, for printers and edge loops."""
+        return frozenset((u, v) for u, nb in enumerate(self.adjacency, start=1)
+                         for v in vertices_of(nb >> u << u))
 
     @cached_property
     def full_mask(self) -> int:
@@ -78,7 +74,7 @@ class Graph:
         return nb
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return bool(self.adjacency[u - 1] >> (v - 1) & 1)
 
     def __repr__(self) -> str:
         es = ",".join(f"{u}-{v}" for u, v in sorted(self.edges))
@@ -86,21 +82,27 @@ class Graph:
 
 
 def graph(n: int, edges=()) -> Graph:
-    """Normalising constructor: sorts edge endpoints, rejects loops."""
-    norm = set()
+    """The checked constructor: refuses a negative ``n``, loops and
+    endpoints outside 1..n; an edge may be given either way round."""
+    if n < 0:
+        raise ValueError(f"vertex count {n} is negative")
+    adj = [0] * n
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop at {u}")
-        norm.add((min(u, v), max(u, v)))
-    return Graph(n, frozenset(norm))
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError(f"bad edge ({u}, {v}) for n={n}")
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+    return Graph(tuple(adj))
 
 
 def empty_graph() -> Graph:
-    return graph(0)
+    return Graph(())
 
 
 def single_vertex_graph() -> Graph:
-    return graph(1)
+    return Graph((0,))
 
 
 # ---------------------------------------------------------------------------
@@ -140,33 +142,36 @@ def is_clique(g: Graph, mask: int) -> bool:
 # graph operations
 
 def complement(g: Graph) -> Graph:
-    edges = set()
-    for u in range(1, g.n + 1):
-        for v in range(u + 1, g.n + 1):
-            if not g.has_edge(u, v):
-                edges.add((u, v))
-    return Graph(g.n, frozenset(edges))
+    full = g.full_mask
+    return Graph(tuple(full ^ nb ^ (1 << i) for i, nb in enumerate(g.adjacency)))
 
 
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """g tensor h: h's labels shift by g.n, no cross edges."""
-    shifted = {(u + g.n, v + g.n) for u, v in h.edges}
-    return Graph(g.n + h.n, g.edges | frozenset(shifted))
+def disjoint_union(*gs: Graph) -> Graph:
+    """The tensor of graphs: side by side, each one's labels shifted past
+    the earlier ones', no cross edges."""
+    return _side_by_side(gs, cross=False)
 
 
-def join(g: Graph, h: Graph) -> Graph:
-    """g x h: disjoint union plus every cross edge."""
-    base = disjoint_union(g, h)
-    cross = {(u, v + g.n) for u in range(1, g.n + 1) for v in range(1, h.n + 1)}
-    return Graph(base.n, base.edges | frozenset(cross))
+def join(*gs: Graph) -> Graph:
+    """The product of graphs: side by side plus every cross edge."""
+    return _side_by_side(gs, cross=True)
+
+
+def _side_by_side(gs: tuple[Graph, ...], cross: bool) -> Graph:
+    full = (1 << sum(g.n for g in gs)) - 1 if cross else 0
+    adj: list[int] = []
+    for g in gs:
+        off = len(adj)
+        rest = full & ~(g.full_mask << off)
+        adj.extend(nb << off | rest for nb in g.adjacency)
+    return Graph(tuple(adj))
 
 
 def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph on the vertices of ``mask``; returns it with the old labels in order."""
     old = vertices_of(mask)
-    pos = {v: i + 1 for i, v in enumerate(old)}
-    edges = {(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos}
-    return Graph(len(old), frozenset(edges)), old
+    return Graph(tuple(sum(1 << i for i, v in enumerate(old) if g.adjacency[u - 1] >> (v - 1) & 1)
+                       for u in old)), old
 
 
 def independent_sets(g: Graph, include_empty: bool = False) -> list[int]:
@@ -211,7 +216,8 @@ class DerivedGraph:
 
 def ind_plus(g: Graph, guard: int | None = None) -> DerivedGraph:
     """ind+: the non-empty independent sets of g; two distinct sets are
-    adjacent when they overlap or contain a pair of vertices adjacent in g.
+    adjacent when they overlap or contain a pair of vertices adjacent in g,
+    that is when one meets the other's closed neighbourhood.
 
     With a ``guard``, raises TooLarge as soon as the enumeration finds more
     than ``guard`` sets, before any edge is built."""
@@ -219,26 +225,24 @@ def ind_plus(g: Graph, guard: int | None = None) -> DerivedGraph:
         sets = sorted(cliques(g.complement, None if guard is None else guard + 1)[1:], key=mask_key)
     except TooLarge:
         raise TooLarge(f"ind+ of a {g.n}-vertex graph has more than {guard} vertices") from None
-    edges = set()
-    for i, u in enumerate(sets):
-        nbhd = g.neighbourhood(u) | u
-        for j in range(i + 1, len(sets)):
-            if sets[j] & nbhd:
-                edges.add((i + 1, j + 1))
-    return DerivedGraph(Graph(len(sets), frozenset(edges)), tuple(sets))
+    return _on_labels(sets, lambda u, v: v & (g.neighbourhood(u) | u))
 
 
 def cl_graph(g: Graph) -> DerivedGraph:
     """Graph on all cliques of g; distinct cliques are adjacent when their
-    union is again a clique (no disjointness required)."""
-    # refuse an over-large result before the pair loop
-    cs = sorted(cliques(g, cap=MAX_VERTICES), key=mask_key)
-    edges = set()
-    for i, u in enumerate(cs):
-        for j in range(i + 1, len(cs)):
-            if is_clique(g, u | cs[j]):
-                edges.add((i + 1, j + 1))
-    return DerivedGraph(Graph(len(cs), frozenset(edges)), tuple(cs))
+    union is again a clique (no disjointness required), that is when one
+    misses the other's neighbourhood in the complement.  More than
+    ``CL_VERTICES`` cliques raise TooLarge before the pair loop."""
+    outside = g.complement.neighbourhood
+    return _on_labels(sorted(cliques(g, cap=CL_VERTICES), key=mask_key),
+                      lambda c, d: not d & outside(c))
+
+
+def _on_labels(labels: list[int], adjacent) -> DerivedGraph:
+    """One vertex per label, two distinct ones adjacent when ``adjacent(a, b)``."""
+    adj = tuple(sum(1 << j for j, b in enumerate(labels) if j != i and adjacent(a, b))
+                for i, a in enumerate(labels))
+    return DerivedGraph(Graph(adj), tuple(labels))
 
 
 def kappa_labels(g: Graph, guard: int = IND_PLUS_GUARD) -> tuple[tuple[int, ...], ...]:
@@ -269,40 +273,16 @@ def _clique_labels(ip: DerivedGraph, cs) -> tuple[tuple[int, ...], ...]:
 # P4 detection (brute-force oracle used for error reporting and tests)
 
 def find_induced_p4(g: Graph) -> tuple[int, ...] | None:
-    """Return vertices (a, b, c, d) of an induced path a-b-c-d, or None."""
-    vs = range(1, g.n + 1)
-    for b in vs:
-        for c in vs:
-            if b == c or not g.has_edge(b, c):
-                continue
-            for a in vs:
-                if a in (b, c) or not g.has_edge(a, b) or g.has_edge(a, c):
-                    continue
-                for d in vs:
-                    if d in (a, b, c):
-                        continue
-                    if g.has_edge(c, d) and not g.has_edge(b, d) and not g.has_edge(a, d):
-                        return (a, b, c, d)
+    """Return vertices (a, b, c, d) of an induced path a-b-c-d, or None;
+    the first in the order of b, then c, then a, then d."""
+    adj = g.adjacency
+    for b in range(1, g.n + 1):
+        for c in vertices_of(adj[b - 1]):
+            for a in vertices_of(adj[b - 1] & ~adj[c - 1] & ~(1 << (c - 1))):
+                d = adj[c - 1] & ~adj[b - 1] & ~adj[a - 1] & ~(1 << (b - 1))
+                if d:
+                    return (a, b, c, (d & -d).bit_length())
     return None
-
-
-def connected_components(g: Graph) -> list[int]:
-    """Vertex masks of the connected components, by smallest member."""
-    seen = 0
-    comps = []
-    for v in range(1, g.n + 1):
-        bit = 1 << (v - 1)
-        if seen & bit:
-            continue
-        comp = bit
-        frontier = bit
-        while frontier:
-            new = g.neighbourhood(frontier) & ~comp
-            comp |= new
-            frontier = new
-        comps.append(comp)
-        seen |= comp
-    return comps
 
 
 def to_dot(g: Graph, labels=None, name: str | None = None) -> str:

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import cograph
-from .cograph import Graph, NotACograph
+from .cograph import Graph, NotACograph, TooLarge
+
+# realize and cotree_decompose refuse a graph with more vertices than this
+# before building anything.  A cotree on n vertices can nest n - 1 deep; up
+# to this size the recursive printers and the decomposition of morphisms stay
+# within Python's default recursion limit and a few seconds (at 256 they do not)
+VERTEX_BUDGET = 128
 
 
 @dataclass(frozen=True)
@@ -108,15 +114,20 @@ def factors(t: Cotree) -> tuple[Cotree, ...]:
 @lru_cache(maxsize=None)
 def realize(t: Cotree) -> Graph:
     """The cograph named by ``t``; leaf order gives the vertex labelling."""
+    check_vertex_budget(leaves(t))
     if t.kind == "K":
         return cograph.empty_graph()
     if t.kind == "W":
         return cograph.single_vertex_graph()
     op = cograph.disjoint_union if t.kind == "tensor" else cograph.join
-    g = realize(t.parts[0])
-    for p in t.parts[1:]:
-        g = op(g, realize(p))
-    return g
+    return op(*map(realize, t.parts))
+
+
+def check_vertex_budget(n: int) -> None:
+    """Raise TooLarge when a graph of ``n`` vertices is over ``VERTEX_BUDGET``."""
+    if n > VERTEX_BUDGET:
+        raise TooLarge(f"a graph of {n} vertices exceeds the budget of {VERTEX_BUDGET}"
+                       " (cotree.VERTEX_BUDGET)")
 
 
 def cotree_decompose(g: Graph) -> tuple[Cotree, tuple[int, ...]]:
@@ -126,51 +137,52 @@ def cotree_decompose(g: Graph) -> tuple[Cotree, tuple[int, ...]]:
     canonical position of original vertex ``i``, so that relabelling ``g``
     along ``perm`` gives exactly ``realize(cotree)``.
 
-    Recursion: the empty graph is K and a single vertex is W; a disconnected
-    graph is the tensor of its components; a connected graph whose complement
-    is disconnected is the join of the subgraphs induced by the complement's
-    components.  Anything else contains an induced P4 and is rejected.
-    Children are ordered by (vertex count, minimum original label), which
-    pins one canonical cotree per labelled cograph.
+    Recursion on vertex masks of ``g``: no vertex is K and one is W; a
+    disconnected part is the tensor of its components; a connected part
+    whose complement is disconnected is the join of the parts the
+    complement's components span.  Anything else contains an induced P4
+    and is rejected.  Children are ordered by (vertex count, minimum
+    original label), which pins one canonical cotree per labelled cograph.
     """
-    tree, order = _decompose(g, tuple(range(1, g.n + 1)))
+    check_vertex_budget(g.n)
+    tree, order = _decompose(g, g.full_mask)
     perm = [0] * g.n
     for pos, v in enumerate(order, start=1):
         perm[v - 1] = pos
     return tree, tuple(perm)
 
 
-def _decompose(g: Graph, labels: tuple[int, ...]) -> tuple[Cotree, tuple[int, ...]]:
-    if g.n == 0:
-        return K, ()
-    if g.n == 1:
-        return W, (labels[0],)
-    comps = cograph.connected_components(g)
-    if len(comps) > 1:
-        return _split(g, labels, comps, "tensor")
-    co_comps = cograph.connected_components(cograph.complement(g))
-    if len(co_comps) > 1:
-        return _split(g, labels, co_comps, "join")
-    p4 = cograph.find_induced_p4(g)
-    witness = tuple(labels[v - 1] for v in p4) if p4 else None
+def _decompose(g: Graph, mask: int) -> tuple[Cotree, tuple[int, ...]]:
+    if not mask & (mask - 1):
+        return (W, (mask.bit_length(),)) if mask else (K, ())
+    for make, h in ((tensor, g), (join, g.complement)):
+        parts = _components(h, mask)
+        if len(parts) > 1:
+            parts.sort(key=lambda m: (m.bit_count(), m & -m))
+            children = []
+            order: list[int] = []
+            for part in parts:
+                child, child_order = _decompose(g, part)
+                children.append(child)
+                order.extend(child_order)
+            return make(*children), tuple(order)
+    sub, old = cograph.induced_subgraph(g, mask)
+    witness = tuple(old[v - 1] for v in cograph.find_induced_p4(sub))
     raise NotACograph(f"graph has an induced P4 at {witness}", witness)
 
 
-def _split(g, labels, comp_masks, kind) -> tuple[Cotree, tuple[int, ...]]:
-    pieces = []
-    for mask in comp_masks:
-        sub, old = cograph.induced_subgraph(g, mask)
-        sub_labels = tuple(labels[v - 1] for v in old)
-        pieces.append((sub, sub_labels))
-    pieces.sort(key=lambda p: (p[0].n, min(p[1])))
-    children = []
-    order: list[int] = []
-    for sub, sub_labels in pieces:
-        child, child_order = _decompose(sub, sub_labels)
-        children.append(child)
-        order.extend(child_order)
-    make = tensor if kind == "tensor" else join
-    return make(*children), tuple(order)
+def _components(g: Graph, mask: int) -> list[int]:
+    """Vertex masks of the connected components of g's subgraph on
+    ``mask``, by smallest member."""
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            frontier = g.neighbourhood(frontier) & mask & ~comp
+            comp |= frontier
+        comps.append(comp)
+        mask ^= comp
+    return comps
 
 
 def is_all_w(t: Cotree) -> bool:

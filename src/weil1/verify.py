@@ -29,8 +29,7 @@ from functools import lru_cache
 
 from .rig import Rig
 from .cograph import (
-    IND_PLUS_GUARD, MAX_VERTICES, DerivedGraph, Graph, TooLarge, cliques, ind_plus, kappa_labels,
-    vertices_of,
+    IND_PLUS_GUARD, DerivedGraph, Graph, TooLarge, cliques, ind_plus, kappa_labels, vertices_of,
 )
 from .cotree import Cotree, K, W, cotree_decompose, factors, format_cotree, n_join, n_tensor, tensor
 from .weilalg import WeilObject, algebra_of, dict_mul, poly_trusted
@@ -39,9 +38,17 @@ from .morphism import Morphism, RigMismatch, TypeMismatch
 from .genexpr import SlotAssignment, circles_of
 
 
-# the pullback check refuses, with TooLarge, a P with more kappa vertices than
-# this; the largest square of the default ``weil1 verify``, (2W,2W,2W), has 791,552
+# enumerate_hom refuses, with TooLarge, more candidate assignments than this
+HOM_ASSIGNMENTS = 2_000_000
+# the pullback check refuses, with TooLarge, a P whose ind+ has more vertices
+# than this, or more kappa vertices than PULLBACK_CANDIDATES; the largest
+# square of the default ``weil1 verify``, (2W,2W,2W), has 791,552
+PULLBACK_IND_PLUS = 63
 PULLBACK_CANDIDATES = 1_000_000
+# the products certificate checks every pair of candidates, or this many
+# pairs drawn with this seed when there are more
+PRODUCT_SAMPLE = 20_000
+PRODUCT_SEED = 7
 
 
 class ChoiceAmbiguous(Exception):
@@ -77,12 +84,13 @@ class HomSet:
         return iter(self.morphisms)
 
 
-def enumerate_hom(a: Cotree | WeilObject, b: Cotree | WeilObject, max_size: int = 2_000_000) -> HomSet:
+def enumerate_hom(a: Cotree | WeilObject, b: Cotree | WeilObject) -> HomSet:
     """All morphisms a -> b over {0,1}.
 
     Per-generator candidates are the subsets of ind+(G_b) whose image squares
     to zero (exactly the cliques); assignments are then filtered through the
-    source's relations with real polynomial products.
+    source's relations with real polynomial products.  More than
+    ``HOM_ASSIGNMENTS`` candidate assignments raise TooLarge.
     """
     src = a if isinstance(a, WeilObject) else algebra_of(a, Rig.BOOL2)
     tgt = b if isinstance(b, WeilObject) else algebra_of(b, Rig.BOOL2)
@@ -90,8 +98,9 @@ def enumerate_hom(a: Cotree | WeilObject, b: Cotree | WeilObject, max_size: int 
         raise RigMismatch("hom enumeration is defined over the {0,1} rig")
     cands = kappa_candidates(tgt.cotree)
     n = src.n
-    if len(cands) ** max(n, 1) > max_size:
-        raise TooLarge(f"{len(cands)}^{n} assignments exceed the budget")
+    if len(cands) ** max(n, 1) > HOM_ASSIGNMENTS:
+        raise TooLarge(f"{len(cands)}^{n} assignments exceed the budget of {HOM_ASSIGNMENTS}"
+                       " (verify.HOM_ASSIGNMENTS)")
     earlier = [[] for _ in range(n)]
     for u, v in src.graph.edges:
         earlier[v - 1].append(u - 1)
@@ -127,11 +136,12 @@ def count_graph_maps(a: Cotree, b: Cotree) -> int:
 
     This is the purely graph-level side of the hom bijection; two kappa
     vertices are adjacent when the union of their cliques of ind+ is again a
-    clique.
+    clique.  Refuses, as ``kappa_candidates`` does, a ``b`` whose ind+ has
+    more than ``IND_PLUS_GUARD`` vertices.
     """
     from .cotree import realize
 
-    ipg = ind_plus(realize(b)).graph
+    ipg = ind_plus(realize(b), IND_PLUS_GUARD).graph
     return len(graph_maps(realize(a), ipg, cliques(ipg)))
 
 
@@ -171,15 +181,15 @@ def canonical_objects(max_vertices: int) -> tuple[Cotree, ...]:
     from itertools import combinations
     from .cotree import leaves
 
-    from .cograph import NotACograph
+    from .cograph import NotACograph, graph
 
     seen: list[Cotree] = []
     for n in range(max_vertices + 1):
         pairs = list(combinations(range(1, n + 1), 2))
         for bits in range(1 << len(pairs)):
-            edges = frozenset(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
+            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
             try:
-                tree, _ = cotree_decompose(Graph(n, edges))
+                tree, _ = cotree_decompose(graph(n, edges))
             except NotACograph:
                 continue
             if tree not in seen:
@@ -448,8 +458,6 @@ def check_foundational_pullback(
     a2: Cotree,
     apex_max: int = 2,
     cone_budget: int = 200_000,
-    sample: int = 20_000,
-    seed: int = 7,
 ) -> AxiomReport:
     """Existence and uniqueness of pullback factorizations for the square of
     P = B (x) (A1 x A2) over B, with legs T1 = B (x) A1 and T2 = B (x) A2.
@@ -460,7 +468,9 @@ def check_foundational_pullback(
     projections P -> Ti and the bases Ti -> B act through one vertex table
     each: the projections' generator tables are ``morphism.pair_layout``'s,
     and ``id (x) eps`` keeps B's generators, which come first in Ti, and
-    kills Ai's.  More than ``PULLBACK_CANDIDATES`` cliques raise TooLarge.
+    kills Ai's.  Over ``PULLBACK_IND_PLUS`` vertices of ind+(P), over
+    ``IND_PLUS_GUARD`` of a leg's ind+ or over ``PULLBACK_CANDIDATES``
+    cliques raise TooLarge, naming the square and the budget.
 
     Where the full cone set fits the budget it is swept cone by cone, on
     tuples of candidate indices.  Where it does not, an exact certificate
@@ -468,10 +478,11 @@ def check_foundational_pullback(
     candidates of P (checked one by one), their count equals the number of
     pairs of T1 and T2 candidates with the same pure-base monomials, and
     products are zero upstairs exactly when they are zero in both legs.
-    The products are checked on every pair, or on ``sample`` seeded pairs
-    when there are more.  Those index the candidates in clique-search
-    order, so they are not the pairs a canonically ordered list would give;
-    the sample size, the seed and the report label are the same.
+    The products are checked on every pair, or on ``PRODUCT_SAMPLE`` pairs
+    seeded with ``PRODUCT_SEED`` when there are more.  Those index the
+    candidates in clique-search order, so they are not the pairs a
+    canonically ordered list would give; the sample size, the seed and the
+    report label are the same.
     """
     rig = Rig.BOOL2
     name = f"({format_cotree(b)},{format_cotree(a1)},{format_cotree(a2)})"
@@ -490,12 +501,18 @@ def check_foundational_pullback(
     base1, base2 = (tuple(1 << j if j < base_obj.n else 0 for j in range(t.n))
                     for t in (t1_obj, t2_obj))
 
-    ip_p = ind_plus(p_obj.graph, MAX_VERTICES)
-    ip1 = ind_plus(t1_obj.graph, IND_PLUS_GUARD)
-    ip2 = ind_plus(t2_obj.graph, IND_PLUS_GUARD)
-    ip_b = ind_plus(base_obj.graph)
+    def guarded(budget, build, *args):
+        try:
+            return build(*args)
+        except TooLarge as exc:
+            raise TooLarge(f"pullback square {name}: {exc} ({budget})") from None
+
+    ip_p = guarded("verify.PULLBACK_IND_PLUS", ind_plus, p_obj.graph, PULLBACK_IND_PLUS)
+    ip1 = guarded("cograph.IND_PLUS_GUARD", ind_plus, t1_obj.graph, IND_PLUS_GUARD)
+    ip2 = guarded("cograph.IND_PLUS_GUARD", ind_plus, t2_obj.graph, IND_PLUS_GUARD)
     # each leg embeds in P, so its cliques are cliques of P's: one cap bounds all three
-    cand_p = cliques(ip_p.graph, PULLBACK_CANDIDATES)
+    cand_p = guarded("verify.PULLBACK_CANDIDATES", cliques, ip_p.graph, PULLBACK_CANDIDATES)
+    ip_b = ind_plus(base_obj.graph)
     cand_1 = cliques(ip1.graph)
     cand_2 = cliques(ip2.graph)
     legs1 = _images(cand_p, _vertex_table(proj1, ip_p, ip1))
@@ -524,15 +541,15 @@ def check_foundational_pullback(
         f"{len(cand_p)} candidates vs {compat} compatible pairs"))
 
     # certificate part 3: products vanish upstairs iff they vanish in both legs
-    rng = random.Random(seed)
+    rng = random.Random(PRODUCT_SEED)
     npairs = len(cand_p) * (len(cand_p) - 1) // 2
-    if npairs <= sample:
+    if npairs <= PRODUCT_SAMPLE:
         pair_iter = ((i, j) for i in range(len(cand_p)) for j in range(i, len(cand_p)))
         mode = "all"
     else:
         pair_iter = ((rng.randrange(len(cand_p)), rng.randrange(len(cand_p)))
-                     for _ in range(sample))
-        mode = f"sample={sample}"
+                     for _ in range(PRODUCT_SAMPLE))
+        mode = f"sample={PRODUCT_SAMPLE}"
     prod_ok = True
     detail = ""
     # as in graph_maps, a union of two cliques is a clique when one misses
@@ -853,20 +870,20 @@ def check_nat_fullness(f: Morphism) -> bool:
 # ---------------------------------------------------------------------------
 # aggregate runner
 
-def run_verify(max_vertices: int = 2, equalizer_max: int = 3) -> AxiomReport:
+def run_verify(max_vertices: int = 2) -> AxiomReport:
     """The full machine-checkable suite: tangent axioms, naturality sweeps,
     the vertical-lift equaliser, and the foundational pullbacks (including
     preservation under one and two applications of the tangent functor)."""
-    return AxiomReport(tuple(iter_verify(max_vertices, equalizer_max)))
+    return AxiomReport(tuple(iter_verify(max_vertices)))
 
 
-def iter_verify(max_vertices: int = 2, equalizer_max: int = 3):
+def iter_verify(max_vertices: int = 2):
     """The results of ``run_verify``, in its order, each yielded as soon as
     the check that makes it ends: the tangent axioms and the equaliser as
     whole suites, then each pullback square, each preservation re-check and
     each Kleisli count."""
     yield from check_tangent_axioms(max_vertices).results
-    yield from check_equalizer(equalizer_max).results
+    yield from check_equalizer().results
     objs = canonical_objects(max_vertices)
     pullbacks: dict[tuple[Cotree, Cotree, Cotree], AxiomReport] = {}
     for b in objs:

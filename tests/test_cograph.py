@@ -34,6 +34,139 @@ def brute_has_induced_p4(g):
 
 
 # ---------------------------------------------------------------------------
+# reference builders on edge sets: a graph is (n, frozenset of pairs (u, v), u < v)
+
+def as_pair(g):
+    return g.n, g.edges
+
+
+def ref_complement(g):
+    n, edges = g
+    return n, frozenset((u, v) for u, v in itertools.combinations(range(1, n + 1), 2)
+                        if (u, v) not in edges)
+
+
+def ref_disjoint_union(g, h):
+    (n, e), (_, f) = g, h
+    return n + h[0], e | frozenset((u + n, v + n) for u, v in f)
+
+
+def ref_join(g, h):
+    n, m = g[0], h[0]
+    total, edges = ref_disjoint_union(g, h)
+    return total, edges | frozenset((u, v + n) for u in range(1, n + 1) for v in range(1, m + 1))
+
+
+def ref_induced_subgraph(g, mask):
+    _, edges = g
+    old = cg.vertices_of(mask)
+    pos = {v: i + 1 for i, v in enumerate(old)}
+    return (len(old), frozenset((pos[u], pos[v]) for u, v in edges if u in pos and v in pos)), old
+
+
+def ref_touches(edges, u, v):
+    return any((min(a, b), max(a, b)) in edges for a in cg.vertices_of(u) for b in cg.vertices_of(v))
+
+
+def ref_ind_plus(g):
+    # distinct independent sets are adjacent when they overlap or touch an edge
+    sets = brute_independent_sets(g)
+    edges = frozenset((i + 1, j + 1) for i, j in itertools.combinations(range(len(sets)), 2)
+                      if sets[i] & sets[j] or ref_touches(g.edges, sets[i], sets[j]))
+    return (len(sets), edges), tuple(sets)
+
+
+def ref_cl_graph(g):
+    # distinct cliques are adjacent when their union is a clique
+    cs = brute_cliques(g)
+    edges = frozenset((i + 1, j + 1) for i, j in itertools.combinations(range(len(cs)), 2)
+                      if cs[i] | cs[j] in cs)
+    return (len(cs), edges), tuple(cs)
+
+
+def ref_realize(t):
+    if t.kind == "K":
+        return 0, frozenset()
+    if t.kind == "W":
+        return 1, frozenset()
+    op = ref_disjoint_union if t.kind == "tensor" else ref_join
+    out = ref_realize(t.parts[0])
+    for p in t.parts[1:]:
+        out = op(out, ref_realize(p))
+    return out
+
+
+def ref_find_induced_p4(g):
+    vs = range(1, g.n + 1)
+    for b in vs:
+        for c in vs:
+            if b == c or not g.has_edge(b, c):
+                continue
+            for a in vs:
+                if a in (b, c) or not g.has_edge(a, b) or g.has_edge(a, c):
+                    continue
+                for d in vs:
+                    if d in (a, b, c):
+                        continue
+                    if g.has_edge(c, d) and not g.has_edge(b, d) and not g.has_edge(a, d):
+                        return (a, b, c, d)
+    return None
+
+
+SMALL_GRAPHS = [g for n in range(6) for g in all_graphs(n)]
+
+
+def test_mask_builders_match_edge_set_references():
+    for g in SMALL_GRAPHS:
+        assert as_pair(cg.complement(g)) == ref_complement(as_pair(g))
+        assert g.complement == cg.complement(g)
+        for mask in range(g.full_mask + 1):
+            sub, old = cg.induced_subgraph(g, mask)
+            assert (as_pair(sub), old) == ref_induced_subgraph(as_pair(g), mask)
+        assert cg.find_induced_p4(g) == ref_find_induced_p4(g)
+    small = [g for g in SMALL_GRAPHS if g.n <= 3]
+    for g, h in itertools.product(small, repeat=2):
+        assert as_pair(cg.disjoint_union(g, h)) == ref_disjoint_union(as_pair(g), as_pair(h))
+        assert as_pair(cg.join(g, h)) == ref_join(as_pair(g), as_pair(h))
+
+
+def test_derived_graphs_match_edge_set_references():
+    for g in SMALL_GRAPHS:
+        ip = cg.ind_plus(g)
+        assert (as_pair(ip.graph), ip.labels) == ref_ind_plus(g)
+        cl = cg.cl_graph(g)
+        assert (as_pair(cl.graph), cl.labels) == ref_cl_graph(g)
+
+
+def test_realize_matches_edge_set_reference():
+    from weil1.verify import canonical_objects
+
+    for t in canonical_objects(5):
+        g = ct.realize(t)
+        assert as_pair(g) == ref_realize(t)
+        assert g == cg.graph(*ref_realize(t))
+
+
+def test_graph_constructor_refuses_bad_input():
+    assert cg.graph(3, [(2, 1), (3, 2)]) == cg.graph(3, [(1, 2), (2, 3)])
+    assert cg.graph(3, [(2, 1)]).adjacency == (0b010, 0b001, 0)
+    for n, edges in ((3, [(2, 2)]), (3, [(0, 1)]), (3, [(1, 4)]), (-1, [])):
+        with pytest.raises(ValueError):
+            cg.graph(n, edges)
+
+
+def test_graphs_have_no_vertex_cap():
+    big = ct.realize(ct.n_join(100))
+    assert big.n == 100 and len(big.edges) == 4950
+    assert cg.complement(big) == cg.graph(100)
+    assert ct.cotree_decompose(big) == (ct.n_join(100), tuple(range(1, 101)))
+    with pytest.raises(cg.TooLarge, match="cotree.VERTEX_BUDGET"):
+        ct.realize(ct.n_join(ct.VERTEX_BUDGET + 1))
+    with pytest.raises(cg.TooLarge, match="cotree.VERTEX_BUDGET"):
+        ct.cotree_decompose(cg.graph(ct.VERTEX_BUDGET + 1))
+
+
+# ---------------------------------------------------------------------------
 # basic operations
 
 def test_disjoint_union_examples():

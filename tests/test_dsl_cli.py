@@ -225,6 +225,29 @@ def test_cli_object_leaf_budget():
     assert proc.returncode == 0 and proc.stdout.strip() == "W^1000000"
 
 
+def test_cli_answers_past_63_vertices():
+    # graphs have no vertex cap: valid input on 64 vertices is answered
+    m64 = "f : W -> W^64 ; x |-> y1"
+    out = {}
+    for args in (("validate", m64), ("decompose", "--check", m64), ("cotree", "64; 1-2"),
+                 ("dot", "W^64")):
+        proc = run_cli_process(*args, timeout=5)
+        assert proc.returncode == 0 and not proc.stderr, (args, proc.stderr)
+        out[args[0]] = proc.stdout
+    assert out["decompose"].endswith("roundtrip OK\n")
+    assert out["dot"].count(" -- ") == 64 * 63 // 2
+
+
+def test_cli_size_refusals_exit_4():
+    # every size refusal is a named budget, checked before the work starts
+    over = f"{ct.VERTEX_BUDGET + 1}; 1-2"
+    for args in (("kappa", "64W"), ("kappa", "W^100000"), ("hom", "W", "W^100000"),
+                 ("validate", "f : W^100000 -> W"), ("dot", "W^100000"), ("cotree", over)):
+        proc = run_cli_process(*args, timeout=5)
+        assert proc.returncode == 4 and proc.stderr.startswith("too large: "), (args, proc.stderr)
+    assert "cotree.VERTEX_BUDGET" in proc.stderr
+
+
 def test_cli_large_ghat_is_fast():
     proc = run_cli_process("evaluate", "--rig", "nat", "ghat(99999999)", timeout=5)
     assert proc.returncode == 0

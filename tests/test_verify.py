@@ -83,6 +83,32 @@ def test_hom_count_equals_graph_map_count_small():
         assert len(vf.enumerate_hom(a, b)) == vf.count_graph_maps(a, b)
 
 
+def test_count_graph_maps_is_guarded():
+    # both sides of the hom-count oracle refuse the same inputs, and fast:
+    # ind+(22W) has 4,194,303 vertices
+    start = time.perf_counter()
+    with pytest.raises(vf.TooLarge):
+        vf.count_graph_maps(ct.W, ct.n_tensor(22))
+    with pytest.raises(vf.TooLarge):
+        vf.enumerate_hom(ct.W, ct.n_tensor(22))
+    assert time.perf_counter() - start < 5
+
+
+def test_canonical_objects_counts():
+    counts = [1, 2, 4, 8, 18, 42]
+    for n in range(6):
+        objs = vf.canonical_objects(n)
+        assert len(set(objs)) == len(objs) == counts[n]
+
+
+@pytest.mark.slow
+def test_canonical_objects_at_six_vertices():
+    objs = vf.canonical_objects(6)
+    assert len(set(objs)) == len(objs) == 110
+    names = {ct.format_cotree(t) for t in objs}
+    assert {"W^3 @ W * 2W", "W * 2W @ W^3"} <= names
+
+
 def test_kappa_vertex_count_equals_hom_from_w():
     for tree in vf.canonical_objects(3):
         g = ct.realize(tree)
@@ -320,11 +346,23 @@ def test_corrupted_base_key_fails_the_count(monkeypatch, triple):
 
 def test_pullback_candidate_list_is_bounded():
     # the default verify's largest list, (2W,2W,2W), fits under the cap;
-    # (2W,W,3W) has more cliques of ind+(P) than the cap and is refused fast
+    # (2W,W,3W) is refused fast, already by the ind+ guard of its leg
+    # T2 = 5W (31 sets), before the candidates are listed
     assert vf.PULLBACK_CANDIDATES >= 791_552
     start = time.perf_counter()
-    with pytest.raises(vf.TooLarge):
+    with pytest.raises(vf.TooLarge, match=r"\(2W,W,3W\).*\(cograph.IND_PLUS_GUARD\)"):
         vf.check_foundational_pullback(ct.n_tensor(2), ct.W, ct.n_tensor(3))
+    assert time.perf_counter() - start < 10
+
+
+def test_pullback_refusal_names_the_square_and_the_budget():
+    # (W^3,2W,2W): ind+(P) has 27 vertices and both legs are within the
+    # guard, so the candidate cap itself is what refuses it
+    start = time.perf_counter()
+    with pytest.raises(vf.TooLarge) as err:
+        vf.check_foundational_pullback(ct.n_join(3), ct.n_tensor(2), ct.n_tensor(2))
+    assert str(err.value) == ("pullback square (W^3,2W,2W): more than 1000000 cliques"
+                              " (verify.PULLBACK_CANDIDATES)")
     assert time.perf_counter() - start < 10
 
 
