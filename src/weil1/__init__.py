@@ -63,7 +63,6 @@ from .genexpr import (
     GenExpr,
     IllTyped,
     SlotAssignment,
-    choice_rule,
     decompose,
     decompose_one_circle,
     decompose_with_trace,
@@ -75,7 +74,6 @@ from .verify import (
     AxiomReport,
     AxiomResult,
     ChoiceAmbiguous,
-    HomSet,
     TooLarge,
     canonical_objects,
     check_equalizer,

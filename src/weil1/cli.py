@@ -33,7 +33,7 @@ _PALETTE = ("red", "blue", "forestgreen", "darkorange", "purple",
 def _read_input(arg: str) -> str:
     if arg == "-":
         return sys.stdin.read()
-    if os.path.exists(arg):
+    if os.path.isfile(arg):
         with open(arg, encoding="utf-8") as fh:
             return fh.read()
     return arg

@@ -174,10 +174,9 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
                        for u in old)), old
 
 
-def independent_sets(g: Graph, include_empty: bool = False) -> list[int]:
-    """All independent sets as masks, sorted by (size, lexicographic members)."""
-    out = sorted(cliques(g.complement), key=mask_key)
-    return out if include_empty else out[1:]
+def independent_sets(g: Graph) -> list[int]:
+    """All non-empty independent sets as masks, sorted by (size, lexicographic members)."""
+    return sorted(cliques(g.complement)[1:], key=mask_key)
 
 
 def cliques(g: Graph, cap: int | None = None) -> list[int]:
@@ -245,15 +244,15 @@ def _on_labels(labels: list[int], adjacent) -> DerivedGraph:
     return DerivedGraph(Graph(adj), tuple(labels))
 
 
-def kappa_labels(g: Graph, guard: int = IND_PLUS_GUARD) -> tuple[tuple[int, ...], ...]:
+def kappa_labels(g: Graph) -> tuple[tuple[int, ...], ...]:
     """The vertices of kappa(g) in canonical order: each clique of ind+(g),
     as the tuple of independent-set masks it collects.
 
     Morphisms from a one-generator algebra into k[g] correspond exactly to
-    these vertices.  Raises TooLarge when ind+(g) has more than ``guard``
-    vertices, since the clique count can grow as 2^|ind+|.
+    these vertices.  Raises TooLarge when ind+(g) has more than
+    ``IND_PLUS_GUARD`` vertices, since the clique count can grow as 2^|ind+|.
     """
-    ip = ind_plus(g, guard)
+    ip = ind_plus(g, IND_PLUS_GUARD)
     return _clique_labels(ip, sorted(cliques(ip.graph), key=mask_key))
 
 
@@ -285,7 +284,7 @@ def find_induced_p4(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def to_dot(g: Graph, labels=None, name: str | None = None) -> str:
+def to_dot(g: Graph, labels=None) -> str:
     """Graphviz DOT text; derived graphs get their set notation as labels."""
     lines = ["graph {"]
     for v in range(1, g.n + 1):

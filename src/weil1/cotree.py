@@ -22,9 +22,9 @@ from . import cograph
 from .cograph import Graph, NotACograph, TooLarge
 
 # realize and cotree_decompose refuse a graph with more vertices than this
-# before building anything.  A cotree on n vertices can nest n - 1 deep; up
-# to this size the recursive printers and the decomposition of morphisms stay
-# within Python's default recursion limit and a few seconds (at 256 they do not)
+# before building anything.  A cotree on n vertices can nest n - 1 deep: the
+# recursive printer exhausts Python's default recursion limit at 250 vertices
+# and the decomposition of W -> W^n at n = 512 (0.5 s at 450), so depth bounds it
 VERTEX_BUDGET = 128
 
 

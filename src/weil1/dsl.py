@@ -50,6 +50,9 @@ class _Token:
 # before the leaves are built: W^1000000 still parses (in under a second),
 # W^999999999 would exhaust memory
 LEAF_BUDGET = 1_000_000
+# most parentheses one input may hold open at once: the parser, the printers and
+# cotree equality recurse per level, and past about 120 exhaust the stack
+NESTING_BUDGET = 100
 
 _SYMBOLS = ("|->", "->", "(", ")", "^", "*", "@", ":", ";", ",", "+", "-")
 
@@ -106,6 +109,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.leaves = 0  # W factors spelled by counts so far, against LEAF_BUDGET
+        self.depth = 0  # parentheses open now, against NESTING_BUDGET
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -122,6 +126,18 @@ class _Parser:
             raise DslSyntaxError(f"unexpected {tok.text or 'end of input'!r}",
                                  tok.line, tok.col, expected=want)
         return self.next()
+
+    def open_paren(self) -> None:
+        """Consume ``(``, refused with TooLarge past NESTING_BUDGET open ones."""
+        tok = self.expect("SYM", "(")
+        self.depth += 1
+        if self.depth > NESTING_BUDGET:
+            raise TooLarge(f"more than {NESTING_BUDGET} nested parentheses at line {tok.line},"
+                           f" column {tok.col} (dsl.NESTING_BUDGET)")
+
+    def close_paren(self) -> None:
+        self.expect("SYM", ")")
+        self.depth -= 1
 
     def at_sym(self, text: str) -> bool:
         tok = self.peek()
@@ -149,9 +165,9 @@ class _Parser:
     def object_factor(self) -> Cotree:
         tok = self.peek()
         if tok.kind == "SYM" and tok.text == "(":
-            self.next()
+            self.open_paren()
             inner = self.object_expr()
-            self.expect("SYM", ")")
+            self.close_paren()
             return inner
         if tok.kind == "INT":
             self.next()
@@ -273,35 +289,35 @@ class _Parser:
         if name in leaves:
             return leaves[name]
         if name == "id":
-            self.expect("SYM", "(")
+            self.open_paren()
             obj = self.object_expr()
-            self.expect("SYM", ")")
+            self.close_paren()
             return ge.Id(obj)
         if name == "ghat":
-            self.expect("SYM", "(")
+            self.open_paren()
             r = self.expect("INT")
-            self.expect("SYM", ")")
+            self.close_paren()
             return ge.Ghat(int(r.text))
         if name == "proj":
-            self.expect("SYM", "(")
+            self.open_paren()
             obj = self.object_expr()
             self.expect("SYM", ",")
             side = self.expect("INT")
-            self.expect("SYM", ")")
+            self.close_paren()
             return ge.Proj(obj, int(side.text))
         if name in ("tensor", "comp", "pair"):
-            self.expect("SYM", "(")
+            self.open_paren()
             e1 = self.genexpr()
             self.expect("SYM", ",")
             e2 = self.genexpr()
-            self.expect("SYM", ")")
+            self.close_paren()
             if name == "tensor":
                 return ge.Tensor(e1, e2)
             if name == "comp":
                 return ge.Compose(e1, e2)
             return ge.Pair(e1, e2)
         if name == "pairat":
-            self.expect("SYM", "(")
+            self.open_paren()
             at = int(self.expect("INT").text)
             self.expect("SYM", ",")
             k1 = int(self.expect("INT").text)
@@ -311,7 +327,7 @@ class _Parser:
             e1 = self.genexpr()
             self.expect("SYM", ",")
             e2 = self.genexpr()
-            self.expect("SYM", ")")
+            self.close_paren()
             return ge.Pair(e1, e2, at, k1, k2)
         raise DslSyntaxError(f"unknown expression head {name!r}", tok.line, tok.col)
 

@@ -222,7 +222,6 @@ def _tensor_fold(legs: list[GenExpr]) -> GenExpr:
     return out
 
 
-@lru_cache(maxsize=None)
 def eta_expr(t: Cotree) -> GenExpr:
     """The unique map out of the base rig, as an expression K -> t."""
     if t.kind == "K":
@@ -234,7 +233,6 @@ def eta_expr(t: Cotree) -> GenExpr:
     return Pair(eta_expr(t.parts[0]), eta_expr(join(*t.parts[1:])), at=0)
 
 
-@lru_cache(maxsize=None)
 def eps_expr(t: Cotree) -> GenExpr:
     """The augmentation, as an expression t -> K."""
     if t.kind == "K":
@@ -260,7 +258,6 @@ def plus_expr(m: int) -> GenExpr:
     return Compose(Plus, inner)
 
 
-@lru_cache(maxsize=None)
 def _ladder(m: int) -> GenExpr:
     """Iterated lift W -> mW, x -> x1...xm."""
     if m == 1:
@@ -332,7 +329,7 @@ class SlotAssignment:
 
     def __init__(self, f: Morphism):
         tgt = f.target
-        if tgt.graph.edges:
+        if any(tgt.graph.adjacency):
             raise TypeMismatch("slot assignment needs an edgeless target")
         self.morphism = f
         self.circles = circles_of(f)
@@ -353,7 +350,6 @@ class SlotAssignment:
             offsets.append(total)
             total += c
         self.offsets = tuple(offsets)
-        self.total_slots = total
 
     def slot(self, i: int, mask: int, j: int) -> int:
         """Slot (1-based) taken by circle (i, mask) inside W^{m_j}."""
@@ -388,11 +384,6 @@ class SlotAssignment:
                 mm ^= bit
             images[i - 1][new_mask] = coeff
         return Morphism(f.source, s_obj, tuple(poly_trusted(d) for d in images))
-
-
-def choice_rule(f: Morphism) -> SlotAssignment:
-    """The deterministic circle-to-slot assignment for a map into nW."""
-    return SlotAssignment(f)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +457,7 @@ def _decompose(f: Morphism, trace: _Trace) -> GenExpr:
         return _record(trace, "Projection", eps_expr(f.source.cotree))
     if f.source.cotree.kind == "K":
         return _record(trace, "OneCircle", eta_expr(f.target.cotree))
-    if f.target.graph.edges:
+    if any(f.target.graph.adjacency):
         return _split_at_join(f, trace, "PullbackTarget", _decompose)
     return _decompose_edgeless(f, trace)
 
@@ -614,7 +605,7 @@ def _restrict(f: Morphism, src: Cotree, gen_range, kept_positions: list[int]) ->
 
 def decompose_one_circle(f: Morphism) -> GenExpr:
     """Expression for a one-term map W -> nW with coefficient 1."""
-    if f.source.cotree.kind != "W" or f.target.graph.edges:
+    if f.source.cotree.kind != "W" or any(f.target.graph.adjacency):
         raise TypeMismatch("decompose_one_circle needs W -> nW input")
     terms = f.raw[0]
     if len(terms) != 1 or terms[0][1] != 1:
@@ -649,7 +640,6 @@ def expand_ghat(e: GenExpr) -> GenExpr:
     return walk(e)
 
 
-@lru_cache(maxsize=None)
 def _ghat_expr(r: int) -> GenExpr:
     if r == 0:
         return Compose(Eta, Eps)

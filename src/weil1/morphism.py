@@ -173,7 +173,6 @@ def _check_relations(f: Morphism) -> None:
 # ---------------------------------------------------------------------------
 # basic constructions
 
-@lru_cache(maxsize=None)
 def identity(obj: WeilObject) -> Morphism:
     return Morphism(obj, obj, tuple(((1 << i, 1),) for i in range(obj.n)))
 
@@ -232,7 +231,6 @@ def tensor_mor(f: Morphism, g: Morphism) -> Morphism:
     return Morphism(source, target, tuple(images))
 
 
-@lru_cache(maxsize=None)
 def projection(prod: WeilObject, side: int) -> Morphism:
     """Product projection: keep one side's generators, kill the other's."""
     t = prod.cotree
@@ -413,7 +411,6 @@ def pair_projections(
 # ---------------------------------------------------------------------------
 # the five generating maps
 
-@lru_cache(maxsize=None)
 def generators(rig: Rig = Rig.BOOL2) -> dict[str, Morphism]:
     """The generating maps: augmentation, unit, addition, vertical lift, flip."""
     w = algebra_of(W, rig)

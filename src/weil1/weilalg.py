@@ -210,13 +210,13 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     return _from_term_dict(p.ambient, dict_mul(_term_dict(p), _term_dict(q), p.ambient))
 
 
-def format_poly(p: Polynomial, letter: str = "y") -> str:
+def format_poly(p: Polynomial) -> str:
     """Render in the DSL term syntax, e.g. ``y1 y2 + y2 y3``; zero prints ``0``."""
     parts = []
     if p.constant:
         parts.append(str(p.constant))
     for mask, coeff in p.terms:
-        body = " ".join(f"{letter}{v}" for v in vertices_of(mask))
+        body = " ".join(f"y{v}" for v in vertices_of(mask))
         parts.append(body if coeff == 1 else f"{coeff} {body}")
     return " + ".join(parts) if parts else "0"
 

@@ -12,10 +12,10 @@ def all_graphs(n):
         yield cg.graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
 
 
-def brute_independent_sets(g, include_empty=False):
-    # oracle: filter every subset by the pairwise edge test
+def brute_independent_sets(g):
+    # oracle: filter every non-empty subset by the pairwise edge test
     out = []
-    for mask in range(0 if include_empty else 1, g.full_mask + 1):
+    for mask in range(1, g.full_mask + 1):
         vs = cg.vertices_of(mask)
         if all(not g.has_edge(u, v) for u, v in itertools.combinations(vs, 2)):
             out.append(mask)
@@ -223,13 +223,12 @@ def test_independent_sets_examples():
     assert cg.independent_sets(two) == brute_independent_sets(two) == [0b01, 0b10, 0b11]
     wsq = cg.graph(2, [(1, 2)])
     assert cg.independent_sets(wsq) == brute_independent_sets(wsq) == [0b01, 0b10]
-    assert cg.independent_sets(cg.empty_graph(), include_empty=True) == [0]
 
 
 def test_independent_sets_against_oracle():
     for n in range(5):
         for g in all_graphs(n):
-            assert cg.independent_sets(g, True) == brute_independent_sets(g, True)
+            assert cg.independent_sets(g) == brute_independent_sets(g)
 
 
 def brute_cliques(g):
@@ -269,7 +268,7 @@ def test_kappa_guard():
     with pytest.raises(cg.TooLarge):
         cg.kappa(cg.graph(5))
     with pytest.raises(cg.TooLarge):
-        cg.kappa_labels(cg.graph(4), guard=14)
+        cg.kappa_labels(cg.graph(5))
     assert len(cg.kappa_labels(cg.graph(4))) == 1376
 
 

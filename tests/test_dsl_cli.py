@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import os
@@ -7,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import weil1
 from weil1.rig import Rig
@@ -106,7 +109,7 @@ def test_morphism_print_parse_round_trip():
     objs = canonical_objects(3)
     for _ in range(150):
         a, b = rnd.choice(objs), rnd.choice(objs)
-        f = rnd.choice(enumerate_hom(a, b).morphisms)
+        f = rnd.choice(enumerate_hom(a, b))
         assert dsl.parse_morphism(dsl.format_morphism(f)) == f
     # and over nat with coefficients
     w_nat = wa.algebra_of(ct.W, NAT)
@@ -248,6 +251,59 @@ def test_cli_size_refusals_exit_4():
     assert "cotree.VERTEX_BUDGET" in proc.stderr
 
 
+def mixed_nesting(depth):
+    """``W * (W @ W * (W @ ... W))`` with ``depth`` parentheses open at the innermost W."""
+    text = "W"
+    for _ in range(depth - 1):
+        text = f"W @ W * ({text})"
+    return f"W * ({text})"
+
+
+def join_nesting(depth):
+    """``W * (W * (... W))``, ``depth`` parentheses deep."""
+    text = "W"
+    for _ in range(depth):
+        text = f"W * ({text})"
+    return text
+
+
+def comp_nesting(depth):
+    """``comp(id(W), comp(id(W), ... id(W)))``, ``depth`` parentheses deep."""
+    text = "id(W)"
+    for _ in range(depth - 1):
+        text = f"comp(id(W), {text})"
+    return text
+
+
+def id_nesting(depth):
+    """``comp(id(<mixed_nesting>), eps)``, ``depth`` parentheses deep."""
+    return f"comp(id({mixed_nesting(depth - 2)}), eps)"
+
+
+NESTING_SHAPES = (mixed_nesting, join_nesting, comp_nesting, id_nesting)
+
+
+def test_cli_nesting_budget():
+    # one parenthesis past the budget is refused before the parser, the
+    # printers or cotree equality recurse that deep; at the budget all parse
+    for shape in NESTING_SHAPES:
+        commands = ("parse", "evaluate") if shape in (comp_nesting, id_nesting) else ("parse",)
+        for command in commands:
+            proc = run_cli_process(command, shape(dsl.NESTING_BUDGET + 1), timeout=5)
+            assert proc.returncode == 4, (shape.__name__, command, proc.stderr)
+            assert "dsl.NESTING_BUDGET" in proc.stderr and "Traceback" not in proc.stderr
+        proc = run_cli_process("parse", shape(dsl.NESTING_BUDGET), timeout=5)
+        assert proc.returncode == 0 and proc.stdout and not proc.stderr, shape.__name__
+
+
+def test_cli_verify_object_scan_is_fast():
+    # the labelled graphs of at most 7 vertices number 2,131,020, past the
+    # budget, so the refusal comes before the scan
+    proc = run_cli_process("verify", "--max-vertices", "7", timeout=5)
+    assert proc.returncode == 4 and "verify.OBJECT_SCAN" in proc.stderr, proc.stderr
+    assert not proc.stdout
+
+
 def test_cli_large_ghat_is_fast():
     proc = run_cli_process("evaluate", "--rig", "nat", "ghat(99999999)", timeout=5)
     assert proc.returncode == 0
@@ -376,3 +432,61 @@ def test_cli_file_input(tmp_path, capsys):
     path.write_text("f : W -> 2W ; x |-> y1 y2\n", encoding="utf-8")
     code, out, _ = run_cli(capsys, "parse", str(path))
     assert code == 0 and out.strip() == "f : W -> 2W ; x1 |-> y1 y2"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any text given to any subcommand ends with an exit code in 0-4
+
+FUZZ_TOKENS = (
+    # objects, morphisms and expressions, in pieces and whole
+    "k", "W", "2W", "3W", "W^2", "^", "*", "@", "(", ")", " ", "f", ":", "->", "|->", ";",
+    "+", "x", "x1", "x2", "y1", "y2", "y3", "eps", "eta", "plus", "l", "c", "id(", "proj(",
+    "ghat(", "comp(", "tensor(", "pair(", "pairat(", ",", "W * 2W", "f : W -> 2W ; x |-> y1 y2",
+    "comp(l, eta)", "1-2", "3; 1-2 2-3",
+    # digits, other symbols and non-ASCII characters
+    "0", "1", "2", "7", "99999999999", "-", "--", ".", "/", "#", "\n", "\t", "\x00", "é", "λ",
+    "∅", "\u0663", "\U0001f600",
+)
+FUZZ_COMMANDS = (  # (subcommand, flag sets, number of text arguments)
+    ("parse", ([], ["--kind", "object"], ["--kind", "morphism"], ["--kind", "genexpr"]), 1),
+    ("validate", ([],), 1),
+    ("compose", ([],), 2),
+    ("decompose", ([], ["--check"]), 1),
+    ("evaluate", ([],), 1),
+    ("kappa", ([], ["--format", "dot"], ["--format", "lines"]), 1),
+    ("cotree", ([],), 1),
+    ("hom", ([], ["--format", "lines"]), 2),
+    ("dot", ([], ["--kappa"], ["--morphism"]), 1),
+    # the sizes whose suite ends within a second, or is refused at once
+    ("verify", (["--max-vertices", "0"], ["--max-vertices", "1", "--format", "lines"],
+                ["--max-vertices", "7"], ["--max-vertices", "x"], ["--max-vertices", "-1"]), 0),
+)
+fuzz_text = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=16).map("".join)
+
+
+@st.composite
+def cli_argv(draw):
+    name, flag_sets, texts = draw(st.sampled_from(FUZZ_COMMANDS))
+    rig = draw(st.sampled_from([[], ["--rig", "nat"]]))
+    return [name, *rig, *draw(st.sampled_from(flag_sets)), *[draw(fuzz_text) for _ in range(texts)]]
+
+
+@given(cli_argv())
+@example(["parse", mixed_nesting(130)])
+@example(["parse", join_nesting(330)])
+@example(["parse", comp_nesting(1000)])
+@example(["evaluate", comp_nesting(1000)])
+@example(["parse", id_nesting(142)])
+@example(["parse", "."])
+def test_cli_fuzz_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO("")  # the text "-" reads the input from stdin
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse refusing the command line
+        code = exc.code
+    finally:
+        sys.stdin = stdin
+    assert code in range(5), (argv, code, err.getvalue())

@@ -69,7 +69,7 @@ def test_choice_rule_slot_example():
     src = wa.algebra_of(ct.n_tensor(2), B2)
     tgt = wa.algebra_of(ct.n_tensor(3), B2)
     f = mor.validate(src, tgt, [{0b011: 1, 0b101: 1}, {0b110: 1}])
-    assignment = ge.choice_rule(f)
+    assignment = ge.SlotAssignment(f)
     assert assignment.counts == (2, 2, 2)
     lifted = assignment.lift()
     assert lifted.target.cotree == ct.tensor(ct.n_join(2), ct.n_join(2), ct.n_join(2))
@@ -81,14 +81,14 @@ def test_choice_rule_slot_example():
 
 def test_choice_rule_one_circle_is_trivial():
     f = mor.validate(W, WW, [{0b11: 1}])
-    assignment = ge.choice_rule(f)
+    assignment = ge.SlotAssignment(f)
     assert assignment.counts == (1, 1)
     assert assignment.lift() == f
 
 
 def test_choice_rule_zero_map():
     z = mor.zero_map(W, WW)
-    assignment = ge.choice_rule(z)
+    assignment = ge.SlotAssignment(z)
     assert assignment.counts == (0, 0)
     assert assignment.lift().target.cotree == ct.K
 
@@ -130,7 +130,7 @@ def _random_nat_morphisms(count, seed, max_vertices=3, max_coeff=3):
     while len(out) < count:
         a = rnd.choice(objs)
         b = rnd.choice(objs)
-        hom = enumerate_hom(a, b).morphisms
+        hom = enumerate_hom(a, b)
         f = rnd.choice(hom)
         images = [
             {mask: rnd.randint(1, max_coeff) for mask, _ in p.terms} for p in f.images

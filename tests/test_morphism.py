@@ -241,7 +241,7 @@ def test_composition_associative_and_unital_small():
     objs = [wa.algebra_of(t, B2) for t in canonical_objects(2)]
     homs = {}
     for a, b in itertools.product(objs, repeat=2):
-        homs[a, b] = enumerate_hom(a, b).morphisms
+        homs[a, b] = enumerate_hom(a, b)
     total = 0
     for a, b, c, d in itertools.product(objs, repeat=4):
         for f in homs[a, b]:
@@ -290,7 +290,7 @@ def test_compose_matches_reference():
     # bool2, their nat lifts, and seeded nat lifts with coefficients 1-3
     rnd = random.Random(3)
     objs = canonical_objects(2)
-    homs = {(a, b): enumerate_hom(a, b).morphisms for a in objs for b in objs}
+    homs = {(a, b): enumerate_hom(a, b) for a in objs for b in objs}
 
     def reweighted(h):
         return mor.make(h.source, h.target,

@@ -52,13 +52,13 @@ def test_enumerate_hom_trivial_cases():
     assert len(vf.enumerate_hom(W, k)) == 1
     for b in (W, WW, W2):
         hom = vf.enumerate_hom(k, b)
-        assert len(hom) == 1 and hom.morphisms[0].images == ()
+        assert len(hom) == 1 and hom[0].images == ()
 
 
 def test_enumerate_hom_matches_subset_oracle():
     for a_t, b_t in itertools.product(vf.canonical_objects(2), repeat=2):
         a, b = wa.algebra_of(a_t, B2), wa.algebra_of(b_t, B2)
-        assert set(vf.enumerate_hom(a, b).morphisms) == brute_force_hom(a, b)
+        assert set(vf.enumerate_hom(a, b)) == brute_force_hom(a, b)
 
 
 def test_enumerate_hom_deterministic_order():
@@ -81,6 +81,19 @@ def test_hom_counts():
 def test_hom_count_equals_graph_map_count_small():
     for a, b in itertools.product(vf.canonical_objects(2), repeat=2):
         assert len(vf.enumerate_hom(a, b)) == vf.count_graph_maps(a, b)
+
+
+def test_hom_counts_turn_tensor_and_product_into_products():
+    # tensor is the coproduct and join the product, so over {0,1}
+    # |hom(A @ A', B)| = |hom(A, B)| |hom(A', B)| and
+    # |hom(A, B * B')| = |hom(A, B)| |hom(A, B')|; both sides of the hom
+    # bijection must agree with the identity wherever they are computed
+    count = vf.count_graph_maps
+    objs = vf.canonical_objects(2)[1:]  # every non-unit object of at most 2 vertices
+    for x, y, z in itertools.product(objs, repeat=3):
+        for a, b, want in ((ct.tensor(x, y), z, count(x, z) * count(y, z)),
+                           (x, ct.join(y, z), count(x, y) * count(x, z))):
+            assert count(a, b) == len(vf.enumerate_hom(a, b)) == want, (a, b)
 
 
 def test_count_graph_maps_is_guarded():
@@ -124,7 +137,7 @@ def test_tangent_axioms_all_pass():
 
 
 def test_axiom_report_formats():
-    report = vf.check_tangent_axioms(max_vertices=1, rigs=(B2,))
+    report = vf.check_tangent_axioms(max_vertices=1)
     lines = report.format_lines()
     assert lines.startswith("AXIOM ")
     assert " PASS" in lines and " FAIL" not in lines
@@ -138,7 +151,7 @@ def test_equalizer_map_is_the_stated_one():
 
 
 def test_equalizer_suite():
-    report = vf.check_equalizer(max_vertices=2)
+    report = vf.check_equalizer()
     assert report.all_passed, report.failures()
 
 
@@ -183,7 +196,10 @@ def reference_pullback(b, a1, a2, apex_max=2, cone_budget=200_000, sample=20_000
     else:
         at, k1, k2 = len(ct.factors(b)) + 1, len(ct.factors(a1)), len(ct.factors(a2))
     proj1, proj2 = mor.pair_projections(p_obj, at, t1_obj, t2_obj, k1, k2)
-    cand_p = vf.kappa_candidates(p_tree, guard=63)
+    # kappa_candidates' labels, past its ind+ guard: cliques of ind+ in canonical order
+    ip_p = cg.ind_plus(p_obj.graph)
+    cand_p = [tuple((ip_p.labels[v - 1], 1) for v in cg.vertices_of(c))
+              for c in sorted(cg.cliques(ip_p.graph), key=cg.mask_key)]
     base_mask = (1 << wa.algebra_of(b, B2).n) - 1
 
     def projected(proj):
@@ -412,8 +428,8 @@ def _sample_composable(rnd, max_vertices=3):
     a = rnd.choice(objs)
     b = rnd.choice(objs)
     n_w = rnd.choice(edgeless)
-    f = rnd.choice(vf.enumerate_hom(a, b).morphisms)
-    g = rnd.choice(vf.enumerate_hom(b, n_w).morphisms)
+    f = rnd.choice(vf.enumerate_hom(a, b))
+    g = rnd.choice(vf.enumerate_hom(b, n_w))
     return f, g
 
 
@@ -490,7 +506,7 @@ def test_gamma_random_sweep():
         n_total = rnd.randint(m, 3)
         g = _random_disjoint_g(rnd, m, n_total)
         a = rnd.choice(objs)
-        f = rnd.choice(vf.enumerate_hom(wa.algebra_of(a, B2), g.source).morphisms)
+        f = rnd.choice(vf.enumerate_hom(wa.algebra_of(a, B2), g.source))
         gamma = vf.gamma_witness(f, g)
         assert vf.gamma_squares_commute(f, g, gamma)
         done += 1

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from weil1 import rig as rig_mod
@@ -128,7 +128,6 @@ def ambient_and_polys(draw, count=3):
     return a, polys
 
 
-@settings(max_examples=200, deadline=None)
 @given(ambient_and_polys())
 def test_polynomials_form_a_commutative_rig(data):
     a, (p, q, r) = data
