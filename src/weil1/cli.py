@@ -4,6 +4,11 @@ Inputs may be inline text, a path to a UTF-8 file, or ``-`` for stdin.
 Exit codes: 0 ok, 1 syntax error, 2 invalid input (bad relations, type
 mismatches, non-cographs), 3 verification failure, 4 a size budget
 refused the work before it started.
+
+A fresh process loads only the modules its command reads: ``genexpr``,
+``morphism`` and ``verify`` are imported inside the commands that use them,
+and every invalid-input error is a ValueError, so ``main`` maps the exit
+codes without loading them either.
 """
 
 from __future__ import annotations
@@ -16,9 +21,6 @@ from .rig import Rig
 from . import cograph as cg
 from . import cotree as ct
 from . import dsl
-from . import genexpr as ge
-from . import morphism as mor
-from . import verify as vf
 
 EXIT_OK = 0
 EXIT_SYNTAX = 1
@@ -61,7 +63,9 @@ def cmd_parse(args) -> int:
     elif kind == "morphism":
         print(dsl.format_morphism(dsl.parse_morphism(text, _rig(args))))
     else:
-        print(ge.format_genexpr(dsl.parse_genexpr(text)))
+        from .genexpr import format_genexpr
+
+        print(format_genexpr(dsl.parse_genexpr(text)))
     return EXIT_OK
 
 
@@ -72,14 +76,18 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    from .morphism import compose
+
     rig = _rig(args)
     f = dsl.parse_morphism(_read_input(args.first), rig)
     g = dsl.parse_morphism(_read_input(args.second), rig)
-    print(dsl.format_morphism(mor.compose(g, f), name="g.f"))
+    print(dsl.format_morphism(compose(g, f), name="g.f"))
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
+    from . import genexpr as ge
+
     rig = _rig(args)
     f = dsl.parse_morphism(_read_input(args.input), rig)
     expr = ge.decompose(f)
@@ -94,8 +102,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .genexpr import evaluate
+
     expr = dsl.parse_genexpr(_read_input(args.input))
-    print(dsl.format_morphism(ge.evaluate(expr, _rig(args))))
+    print(dsl.format_morphism(evaluate(expr, _rig(args))))
     return EXIT_OK
 
 
@@ -137,9 +147,11 @@ def _parse_graph(text: str) -> cg.Graph:
 
 
 def cmd_hom(args) -> int:
+    from .verify import enumerate_hom
+
     a = dsl.parse_object(_read_input(args.source))
     b = dsl.parse_object(_read_input(args.target))
-    hs = vf.enumerate_hom(a, b)
+    hs = enumerate_hom(a, b)
     print(len(hs))
     if args.format != "lines":
         for f in hs:
@@ -148,6 +160,8 @@ def cmd_hom(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as vf
+
     # each line goes out as its check ends; the whole output is the report's
     results = []
     for r in vf.iter_verify(max_vertices=args.max_vertices):
@@ -175,7 +189,7 @@ def cmd_dot(args) -> int:
     return EXIT_OK
 
 
-def _morphism_dot(f: mor.Morphism) -> str:
+def _morphism_dot(f) -> str:
     """Target graph with one coloured node per circle, linked to its members."""
     g = f.target.graph
     lines = ["graph {"]
@@ -284,10 +298,10 @@ def main(argv=None) -> int:
     except dsl.DslSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
-    except (mor.MorphismError, cg.NotACograph, ge.IllTyped, ValueError) as exc:
+    except ValueError as exc:  # MorphismError, NotACograph and IllTyped among them
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except vf.TooLarge as exc:
+    except cg.TooLarge as exc:
         print(f"too large: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
 

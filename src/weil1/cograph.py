@@ -11,7 +11,7 @@ starts: ``IND_PLUS_GUARD`` for the independent sets behind kappa and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 IND_PLUS_GUARD = 20
@@ -31,19 +31,47 @@ class NotACograph(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class Graph:
+class Frozen:
+    """Base of the immutable value classes: once ``__init__`` has set the
+    fields through ``object.__setattr__``, assigning or deleting an
+    attribute raises AttributeError.  ``_fields`` names the ``__init__``
+    arguments: copy and pickle rebuild a value by calling ``__init__`` with
+    them, which also recomputes a cached hash in the new process."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class Graph(Frozen):
     """Simple graph on vertices 1..n, held as its neighbour masks:
     ``adjacency[i]`` is the mask of the neighbours of vertex i+1.
 
     The masks are trusted (symmetric, no loops): the builders below keep
-    them so, and ``graph`` is the checked constructor for outside input."""
+    them so, and ``graph`` is the checked constructor for outside input.
+    Two graphs are equal when their masks are."""
 
-    adjacency: tuple[int, ...]
-    n: int = field(init=False, compare=False)
+    _fields = ("adjacency",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", len(self.adjacency))
+    def __init__(self, adjacency: tuple[int, ...]):
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "n", len(adjacency))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.adjacency == other.adjacency
+
+    def __hash__(self) -> int:
+        return hash((self.adjacency,))
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -205,12 +233,10 @@ def cliques(g: Graph, cap: int | None = None) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class DerivedGraph:
+class DerivedGraph(namedtuple("DerivedGraph", "graph labels")):
     """A graph whose vertices stand for sets; ``labels[i]`` annotates vertex i+1."""
 
-    graph: Graph
-    labels: tuple
+    __slots__ = ()
 
 
 def ind_plus(g: Graph, guard: int | None = None) -> DerivedGraph:

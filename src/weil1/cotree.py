@@ -15,11 +15,10 @@ generator order: the W leaves, read left to right, are the generators 1..n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import cograph
-from .cograph import Graph, NotACograph, TooLarge
+from .cograph import Frozen, Graph, NotACograph, TooLarge
 
 # realize and cotree_decompose refuse a graph with more vertices than this
 # before building anything.  A cotree on n vertices can nest n - 1 deep: the
@@ -28,16 +27,22 @@ from .cograph import Graph, NotACograph, TooLarge
 VERTEX_BUDGET = 128
 
 
-@dataclass(frozen=True)
-class Cotree:
-    """Normalised expression tree over {K, W, tensor, join}."""
+class Cotree(Frozen):
+    """Normalised expression tree over {K, W, tensor, join}; two trees are
+    equal when their kinds and parts are."""
 
-    kind: str  # "K" | "W" | "tensor" | "join"
-    parts: tuple["Cotree", ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
+    __slots__ = ("kind", "parts", "_hash")
+    _fields = ("kind", "parts")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.kind, self.parts)))
+    def __init__(self, kind: str, parts: tuple[Cotree, ...] = ()):
+        object.__setattr__(self, "kind", kind)  # "K" | "W" | "tensor" | "join"
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_hash", hash((kind, parts)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.parts == other.parts
 
     def __hash__(self) -> int:
         return self._hash

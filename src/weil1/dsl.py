@@ -16,15 +16,12 @@ Expressions: prefix form, e.g. ``comp(tensor(id(W), eta), l)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .rig import Rig, check_coeff
 from .cograph import TooLarge
 from .cotree import Cotree, K, W, join, n_tensor, tensor, format_cotree
 from .weilalg import algebra_of, format_poly
-from . import genexpr as ge
-from . import morphism as mor
-from .morphism import Morphism
 
 
 class DslSyntaxError(ValueError):
@@ -38,12 +35,8 @@ class DslSyntaxError(ValueError):
         super().__init__(f"{message} at line {line}, column {col}{suffix}")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # INT | NAME | SYM | EOF
-    text: str
-    line: int
-    col: int
+# kind is INT | NAME | SYM | EOF
+_Token = namedtuple("_Token", "kind text line col")
 
 
 # most leaves (W factors) one input may spell with ``nW`` and ``W^n``, checked
@@ -200,7 +193,9 @@ class _Parser:
 
     # morphisms -----------------------------------------------------------
 
-    def morphism(self, rig: Rig) -> Morphism:
+    def morphism(self, rig: Rig):
+        from .morphism import validate  # loaded only by the commands that read morphisms
+
         self.expect("NAME")
         self.expect("SYM", ":")
         src_tree = self.object_expr()
@@ -221,7 +216,7 @@ class _Parser:
         end = self.peek()
         if end.kind != "EOF":
             raise DslSyntaxError(f"unexpected {end.text!r}", end.line, end.col, expected="';'")
-        return mor.validate(src, tgt, [images.get(i, []) for i in range(1, src.n + 1)])
+        return validate(src, tgt, [images.get(i, []) for i in range(1, src.n + 1)])
 
     def _gen_index(self, tok: _Token, bound: int) -> int:
         name = tok.text
@@ -282,7 +277,9 @@ class _Parser:
 
     # expressions ----------------------------------------------------------
 
-    def genexpr(self) -> ge.GenExpr:
+    def genexpr(self):
+        from . import genexpr as ge  # loaded only by the commands that read expressions
+
         tok = self.expect("NAME")
         name = tok.text
         leaves = {"eps": ge.Eps, "eta": ge.Eta, "plus": ge.Plus, "l": ge.L, "c": ge.C}
@@ -341,11 +338,13 @@ def parse_object(text: str) -> Cotree:
     return obj
 
 
-def parse_morphism(text: str, rig: Rig = Rig.BOOL2) -> Morphism:
+def parse_morphism(text: str, rig: Rig = Rig.BOOL2):
+    """The validated ``morphism.Morphism`` that ``text`` spells."""
     return _Parser(text).morphism(rig)
 
 
-def parse_genexpr(text: str) -> ge.GenExpr:
+def parse_genexpr(text: str):
+    """The ``genexpr.GenExpr`` that ``text`` spells."""
     p = _Parser(text)
     e = p.genexpr()
     tok = p.peek()
@@ -354,7 +353,8 @@ def parse_genexpr(text: str) -> ge.GenExpr:
     return e
 
 
-def format_morphism(f: Morphism, name: str = "f") -> str:
+def format_morphism(f, name: str = "f") -> str:
+    """The canonical text of the ``morphism.Morphism`` ``f``, named ``name``."""
     head = (f"{name} : {format_cotree(f.source.cotree)}"
             f" -> {format_cotree(f.target.cotree)}")
     clauses = [f"x{i} |-> {format_poly(p)}" for i, p in enumerate(f.images, start=1)]

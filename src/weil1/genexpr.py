@@ -21,7 +21,7 @@ morphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .rig import Rig
@@ -32,8 +32,9 @@ from . import morphism as mor
 from .morphism import Morphism, TypeMismatch
 
 
-class IllTyped(Exception):
-    """A node's inferred source/target objects do not fit together."""
+class IllTyped(ValueError):
+    """A node's inferred source/target objects do not fit together: the
+    expression names no morphism, so it is a ValueError."""
 
     def __init__(self, location: "GenExpr", reason: str):
         self.location = location
@@ -389,11 +390,11 @@ class SlotAssignment:
 # ---------------------------------------------------------------------------
 # the decomposition
 
-@dataclass(frozen=True)
-class DecompositionTrace:
-    """Ordered build log; the last entry's expression is the final result."""
+class DecompositionTrace(namedtuple("DecompositionTrace", "steps")):
+    """Ordered build log: ``steps`` holds ``(label, GenExpr)`` pairs, and the
+    last entry's expression is the final result."""
 
-    steps: tuple[tuple[str, GenExpr], ...]
+    __slots__ = ()
 
     def replay(self) -> GenExpr:
         return self.steps[-1][1]

@@ -19,7 +19,7 @@ itself a clique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .rig import Rig, psi
@@ -39,8 +39,9 @@ from .weilalg import (
 )
 
 
-class MorphismError(Exception):
-    """Base class for morphism construction and composition failures."""
+class MorphismError(ValueError):
+    """Base class for morphism construction and composition failures: the
+    input names no valid morphism, so it is a ValueError."""
 
 
 class TypeMismatch(MorphismError):
@@ -436,14 +437,11 @@ def ghat(r: int, rig: Rig = Rig.NAT) -> Morphism:
 # ---------------------------------------------------------------------------
 # Kleisli correspondence
 
-@dataclass(frozen=True)
-class KleisliMap:
+class KleisliMap(namedtuple("KleisliMap", "source target assignment")):
     """Graph map G_A -> kappa(G_B): each source vertex gets a clique of
     independent sets of G_B (a sorted tuple of masks; empty tuple for zero)."""
 
-    source: Graph
-    target: Graph
-    assignment: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def to_kleisli(f: Morphism) -> KleisliMap:

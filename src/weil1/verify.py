@@ -23,8 +23,7 @@ can report each one at once; ``run_verify`` collects them into one report.
 from __future__ import annotations
 
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations
 
@@ -87,11 +86,8 @@ def enumerate_hom(a: Cotree | WeilObject, b: Cotree | WeilObject) -> tuple[Morph
     tgt = b if isinstance(b, WeilObject) else algebra_of(b, Rig.BOOL2)
     if src.rig is not Rig.BOOL2 or tgt.rig is not Rig.BOOL2:
         raise RigMismatch("hom enumeration is defined over the {0,1} rig")
-    cands = kappa_candidates(tgt.cotree)
+    cands = hom_candidates(src, tgt)
     n = src.n
-    if len(cands) ** max(n, 1) > HOM_ASSIGNMENTS:
-        raise TooLarge(f"{len(cands)}^{n} assignments exceed the budget of {HOM_ASSIGNMENTS}"
-                       " (verify.HOM_ASSIGNMENTS)")
     earlier = [[] for _ in range(n)]
     for u, v in src.graph.edges:
         earlier[v - 1].append(u - 1)
@@ -119,6 +115,17 @@ def enumerate_hom(a: Cotree | WeilObject, b: Cotree | WeilObject) -> tuple[Morph
     else:
         rec(0)
     return tuple(out)
+
+
+def hom_candidates(src: WeilObject, tgt: WeilObject) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``enumerate_hom``'s guard: the candidate images of one generator, after
+    refusing with TooLarge a hom-set of more than ``HOM_ASSIGNMENTS``
+    candidate assignments, or a target that ``kappa_candidates`` refuses."""
+    cands = kappa_candidates(tgt.cotree)
+    if len(cands) ** max(src.n, 1) > HOM_ASSIGNMENTS:
+        raise TooLarge(f"{len(cands)}^{src.n} assignments exceed the budget of {HOM_ASSIGNMENTS}"
+                       " (verify.HOM_ASSIGNMENTS)")
+    return cands
 
 
 def count_graph_maps(a: Cotree, b: Cotree) -> int:
@@ -197,11 +204,8 @@ def canonical_objects(max_vertices: int) -> tuple[Cotree, ...]:
 # ---------------------------------------------------------------------------
 # axiom report plumbing
 
-@dataclass(frozen=True)
-class AxiomResult:
-    ident: str
-    passed: bool
-    detail: str = ""
+class AxiomResult(namedtuple("AxiomResult", "ident passed detail", defaults=("",))):
+    __slots__ = ()
 
     def format_line(self) -> str:
         """``AXIOM <ident> PASS``, or ``FAIL`` followed by the detail."""
@@ -211,9 +215,10 @@ class AxiomResult:
         return line
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    results: tuple[AxiomResult, ...]
+class AxiomReport(namedtuple("AxiomReport", "results")):
+    """The results of a suite, a tuple of ``AxiomResult`` in its order."""
+
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:
@@ -366,6 +371,11 @@ def _naturality_checks(max_vertices: int) -> list[AxiomResult]:
         "c": gens["c_W"],
     }
     objs = [algebra_of(t, rig) for t in canonical_objects(max_vertices)]
+    # every hom-set of the sweep fits its budget, or the first one in sweep
+    # order that does not is refused now rather than after the ones before it
+    for a in objs:
+        for b in objs:
+            hom_candidates(a, b)
     out = []
     for tau_name, tau in transformations.items():
         bad = None

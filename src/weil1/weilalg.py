@@ -17,26 +17,29 @@ iterates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from . import rig as rig_mod
 from .rig import Rig
-from .cograph import Graph, is_independent, mask_key, vertices_of
+from .cograph import Frozen, Graph, is_independent, mask_key, vertices_of
 from .cotree import Cotree, realize, format_cotree
 from .cotree import join as join_tree, tensor as tensor_tree
 
 
-@dataclass(frozen=True)
-class WeilObject:
+class WeilObject(Frozen):
     """An object of the category: a cotree together with its coefficient rig."""
 
-    cotree: Cotree
-    rig: Rig
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
+    _fields = ("cotree", "rig")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.cotree, self.rig)))
+    def __init__(self, cotree: Cotree, rig: Rig):
+        object.__setattr__(self, "cotree", cotree)
+        object.__setattr__(self, "rig", rig)
+        object.__setattr__(self, "_hash", hash((cotree, rig)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cotree, self.rig) == (other.cotree, other.rig)
 
     def __hash__(self) -> int:
         return self._hash
@@ -97,21 +100,27 @@ def mono_mul(u: int, v: int, obj: WeilObject) -> int:
 # ---------------------------------------------------------------------------
 # polynomials
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Frozen):
     """Normal-form rig combination of square-free monomials plus a constant.
 
     This is the public form: ``terms`` holds no zero coefficient and is
     sorted by size, then lexicographic members (``mask_key``), so term
     indices and printed text follow that order."""
 
-    ambient: WeilObject
-    constant: int
-    terms: tuple[tuple[int, int], ...]  # ((mask, coeff), ...) sorted by mask_key
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
+    __slots__ = ("ambient", "constant", "terms", "_hash")
+    _fields = ("ambient", "constant", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.ambient, self.constant, self.terms)))
+    def __init__(self, ambient: WeilObject, constant: int, terms: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "terms", terms)  # ((mask, coeff), ...) sorted by mask_key
+        object.__setattr__(self, "_hash", hash((ambient, constant, terms)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ambient, self.constant, self.terms)
+                == (other.ambient, other.constant, other.terms))
 
     def __hash__(self) -> int:
         return self._hash

@@ -208,6 +208,31 @@ def test_cli_kappa_vertex_cap_is_fast():
         assert "too large: more than 63 cliques" in proc.stderr
 
 
+def test_cli_loads_only_the_modules_its_command_reads():
+    # a fresh process of an object or graph command compiles neither the
+    # morphism and decomposition modules nor the axiom suite, nor dataclasses
+    unread = ("weil1.verify", "weil1.genexpr", "weil1.morphism", "dataclasses")
+    probe = ("import sys\nfrom weil1.cli import main\ncode = main(sys.argv[1:])\n"
+             f"print(code, *[m for m in {unread!r} if m in sys.modules], file=sys.stderr)")
+    for args in (("cotree", "4; 1-2 2-3"), ("kappa", "W^2"), ("dot", "2W"), ("parse", "W * 2W")):
+        proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True,
+                              text=True, timeout=10, env=cli_env())
+        assert proc.stderr == "0\n", (args, proc.stderr)
+    # a command that does read them still loads them where it needs them
+    proc = run_cli_process("hom", "W", "2W", timeout=10)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == str(len(enumerate_hom(ct.W, ct.n_tensor(2))))
+
+
+def test_cli_verify_refuses_an_over_budget_sweep_at_once():
+    # the naturality sweep of the 4-vertex objects reaches a hom-set of 1376^3
+    # assignments; every pair is checked against the budget before the sweep
+    # starts, so the refusal comes at once instead of after the pairs before it
+    proc = run_cli_process("verify", "--max-vertices", "4", timeout=5)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "too large:" in proc.stderr and "verify.HOM_ASSIGNMENTS" in proc.stderr
+
+
 def test_cli_reader_closing_early_is_not_an_error():
     proc = subprocess.Popen([sys.executable, "-m", "weil1.cli", "hom", "3W", "3W"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 
 from weil1 import rig as rig_mod
 from weil1.rig import Rig
+from weil1 import cograph as cg
 from weil1 import cotree as ct
+from weil1 import verify as vf
 from weil1 import weilalg as wa
 
 
@@ -253,3 +257,42 @@ def test_format_poly():
     p = wa.poly(two, {0b01: 1, 0b11: 2})
     assert wa.format_poly(p) == "y1 + 2 y1 y2"
     assert wa.format_poly(wa.zero_poly(two)) == "0"
+
+
+# ---------------------------------------------------------------------------
+# the value classes: immutable, hashed by value, printed as they always were,
+# and copied or pickled to equal values
+
+def value_pairs():
+    """(value, an equal value built separately, its repr, a field name)."""
+    g = cg.graph(3, [(1, 2)])
+    t = ct.join(ct.W, ct.n_tensor(2))
+    o = wa.WeilObject(t, NAT)
+    p = wa.poly(o, {0b001: 1, 0b110: 2}, constant=1)
+    return [
+        (g, cg.graph(3, [(2, 1)]), "Graph(3; 1-2)", "adjacency"),
+        (t, ct.Cotree("join", (ct.Cotree("W"), ct.n_tensor(2))), "Cotree('W * 2W')", "kind"),
+        (o, wa.WeilObject(t, NAT), "WeilObject(W * 2W, nat)", "rig"),
+        (p, wa.poly(o, {0b110: 2, 0b001: 1}, constant=1), "Polynomial(1 + y1 + 2 y2 y3)",
+         "terms"),
+        (cg.ind_plus(g), cg.ind_plus(cg.graph(3, [(1, 2)])),
+         "DerivedGraph(graph=Graph(5; 1-2,1-4,1-5,2-4,2-5,3-4,3-5,4-5), labels=(1, 2, 4, 5, 6))",
+         "labels"),
+        (vf.AxiomResult("bundle.comm", False, "lhs"), vf.AxiomResult("bundle.comm", False, "lhs"),
+         "AxiomResult(ident='bundle.comm', passed=False, detail='lhs')", "passed"),
+    ]
+
+
+def test_value_classes_are_immutable_values():
+    for value, twin, text, field in value_pairs():
+        assert value is not twin and value == twin and not value != twin, text
+        assert hash(value) == hash(twin), text
+        assert repr(value) == text
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(twin, field))
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert copied == value and hash(copied) == hash(value), text
+    g = cg.graph(2, [(1, 2)])
+    assert g != cg.graph(2) and g != g.adjacency
+    assert ct.W != ct.K and wa.WeilObject(ct.W, B2) != wa.WeilObject(ct.W, NAT)
+    assert vf.AxiomResult("a", True).detail == ""
