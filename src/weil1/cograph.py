@@ -161,11 +161,6 @@ def is_independent(g: Graph, mask: int) -> bool:
     return not g.neighbourhood(mask) & mask
 
 
-def is_clique(g: Graph, mask: int) -> bool:
-    """A clique of g is an independent set of its complement."""
-    return is_independent(g.complement, mask)
-
-
 # ---------------------------------------------------------------------------
 # graph operations
 

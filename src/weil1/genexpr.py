@@ -326,7 +326,12 @@ def circles_of(f: Morphism) -> list[tuple[int, int, int]]:
 class SlotAssignment:
     """The pre-determined circle-to-slot choice for a map into an edgeless
     object: per target generator, the circles through it are ordered by
-    (source generator, support) and take slots in that order."""
+    (source generator, support) and take slots in that order.
+
+    ``slots`` lists the generators of the slot tensor in order, each as
+    (source generator, support, target generator) of the circle it holds;
+    ``slot_of[i, mask, j]`` is the 1-based generator of circle (i, mask)
+    at target generator j, and ``counts[j - 1]`` the number of slots there."""
 
     def __init__(self, f: Morphism):
         tgt = f.target
@@ -334,38 +339,16 @@ class SlotAssignment:
             raise TypeMismatch("slot assignment needs an edgeless target")
         self.morphism = f
         self.circles = circles_of(f)
-        n = tgt.n
-        counts = [0] * n
-        slot_of: dict[tuple[int, int], dict[int, int]] = {(i, m): {} for i, m, _ in self.circles}
-        for j in range(1, n + 1):
+        slots = []
+        counts = []
+        for j in range(1, tgt.n + 1):
             bit = 1 << (j - 1)
-            for i, m, _ in self.circles:
-                if m & bit:
-                    counts[j - 1] += 1
-                    slot_of[(i, m)][j] = counts[j - 1]
+            before = len(slots)
+            slots.extend((i, m, j) for i, m, _ in self.circles if m & bit)
+            counts.append(len(slots) - before)
+        self.slots = tuple(slots)
+        self.slot_of = {slot: s for s, slot in enumerate(slots, start=1)}
         self.counts = tuple(counts)
-        self._slot_of = slot_of
-        offsets = []
-        total = 0
-        for c in counts:
-            offsets.append(total)
-            total += c
-        self.offsets = tuple(offsets)
-
-    def slot(self, i: int, mask: int, j: int) -> int:
-        """Slot (1-based) taken by circle (i, mask) inside W^{m_j}."""
-        return self._slot_of[(i, mask)][j]
-
-    def slot_generator(self, j: int, s: int) -> int:
-        """Global generator index of slot s of target generator j."""
-        return self.offsets[j - 1] + s
-
-    def circle_at(self, j: int, s: int) -> tuple[int, int]:
-        """The circle (source generator, mask) holding slot s at target generator j."""
-        for (i, m), slots in self._slot_of.items():
-            if slots.get(j) == s:
-                return (i, m)
-        raise KeyError((j, s))
 
     def slot_cotree(self) -> Cotree:
         return tensor(*[n_join(c) for c in self.counts])
@@ -380,8 +363,7 @@ class SlotAssignment:
             mm = m
             while mm:
                 bit = mm & -mm
-                j = bit.bit_length()
-                new_mask |= 1 << (self.slot_generator(j, self.slot(i, m, j)) - 1)
+                new_mask |= 1 << (self.slot_of[i, m, bit.bit_length()] - 1)
                 mm ^= bit
             images[i - 1][new_mask] = coeff
         return Morphism(f.source, s_obj, tuple(poly_trusted(d) for d in images))
@@ -568,8 +550,8 @@ def _tensor_split_source(f: Morphism, trace: _Trace) -> GenExpr:
     all_pos = set(range(1, r + 1))
     unhit = all_pos - hit1 - hitrest
     order = sorted(hit1) + sorted(hitrest) + sorted(unhit)
-    f1 = _restrict(f, a1, range(1, n1 + 1), sorted(hit1))
-    frest = _restrict(f, arest, range(n1 + 1, f.source.n + 1), sorted(hitrest))
+    f1 = _restrict(f, a1, f.raw[:n1], sorted(hit1))
+    frest = _restrict(f, arest, f.raw[n1:], sorted(hitrest))
     e1 = _decompose_flat(f1, trace)
     erest = _decompose_flat(frest, trace)
     if unhit:
@@ -592,16 +574,15 @@ def _hit_positions(raw) -> set[int]:
     return set(vertices_of(hit))
 
 
-def _restrict(f: Morphism, src: Cotree, gen_range, kept_positions: list[int]) -> Morphism:
-    """Restrict to a source generator range and compress the target to the
-    positions those generators actually hit."""
+def _restrict(f: Morphism, src: Cotree, raw, kept_positions: list[int]) -> Morphism:
+    """The map out of ``src`` with images ``raw``, a slice of f's, with the
+    target compressed to ``kept_positions``: every position those images
+    hit, so no term is dropped."""
     table = [0] * f.target.n
     for k, pos in enumerate(kept_positions):
         table[pos - 1] = 1 << k
     tgt = algebra_of(n_tensor(len(kept_positions)), f.rig)
-    images = [{mor.remap_mask(mask, table): c for mask, c in f.raw[i - 1]} for i in gen_range]
-    src_obj = algebra_of(src, f.rig)
-    return Morphism(src_obj, tgt, tuple(poly_trusted(d) for d in images))
+    return mor.compose_restriction(tuple(table), tgt, Morphism(algebra_of(src, f.rig), f.target, raw))
 
 
 def decompose_one_circle(f: Morphism) -> GenExpr:

@@ -14,7 +14,9 @@ masks through one table each.  For pullbacks whose cone sets are too large
 to iterate, the count is settled by an executable certificate: the
 projection pair is checked to be a bijection from the candidate images of
 the pullback object onto the base-compatible candidate pairs, vertex by
-vertex, which pins existence and uniqueness for every cone at once.
+vertex, and to reflect every zero product, which pins existence and
+uniqueness for every cone at once.  The products are checked exactly, on
+every pair of monomials; nothing is sampled.
 
 ``iter_verify`` yields the suite's results as their checks end, so a caller
 can report each one at once; ``run_verify`` collects them into one report.
@@ -22,15 +24,14 @@ can report each one at once; ``run_verify`` collects them into one report.
 
 from __future__ import annotations
 
-import random
 from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations
 
 from .rig import Rig
 from .cograph import (
-    IND_PLUS_GUARD, DerivedGraph, Graph, NotACograph, TooLarge, cliques, graph, ind_plus,
-    kappa_labels, vertices_of,
+    IND_PLUS_GUARD, DerivedGraph, Graph, NotACograph, TooLarge, cliques, format_mask, graph,
+    ind_plus, kappa_labels, vertices_of,
 )
 from .cotree import (
     Cotree, K, W, cotree_decompose, factors, format_cotree, leaves, n_join, n_tensor, realize, tensor,
@@ -48,10 +49,6 @@ HOM_ASSIGNMENTS = 2_000_000
 # square of the default ``weil1 verify``, (2W,2W,2W), has 791,552
 PULLBACK_IND_PLUS = 63
 PULLBACK_CANDIDATES = 1_000_000
-# the products certificate checks every pair of candidates, or this many
-# pairs drawn with this seed when there are more
-PRODUCT_SAMPLE = 20_000
-PRODUCT_SEED = 7
 # canonical_objects refuses, with TooLarge, to scan more labelled graphs than
 # this: every size up to 6 is 33,868 graphs, up to 7 is 2,131,020
 OBJECT_SCAN = 100_000
@@ -487,11 +484,25 @@ def check_foundational_pullback(
     candidates of P (checked one by one), their count equals the number of
     pairs of T1 and T2 candidates with the same pure-base monomials, and
     products are zero upstairs exactly when they are zero in both legs.
-    The products are checked on every pair, or on ``PRODUCT_SAMPLE`` pairs
-    seeded with ``PRODUCT_SEED`` when there are more.  Those index the
-    candidates in clique-search order, so they are not the pairs a
-    canonically ordered list would give; the sample size, the seed and the
-    report label are the same.
+
+    That last part is checked on every pair of monomials of P, the vertices
+    of ind+(P), and this is the same as checking it on every pair of
+    candidates.  Over {0,1} there are no additive inverses, so a product of
+    two sums of monomials is zero exactly when every cross product of one
+    monomial from each is zero: two candidate cliques c, d multiply to zero
+    exactly when every u in c and v in d are equal or adjacent in ind+(P).
+    The projections are restrictions, so they act member by member: the
+    image of c in Ti is the set of its members' images, the killed ones
+    dropped, and the product of the images of c and d is zero exactly when
+    the images of every such u and v multiply to zero in Ti.  Hence
+    "non-zero upstairs" and "non-zero in a leg" are each the disjunction,
+    over the cross pairs (u, v), of the same statement about u and v; if
+    the two agree on every pair of monomials they agree on every pair of
+    candidates.  Conversely single monomials are candidates, so the check
+    on monomials fails whenever the one on candidates would.  Both
+    statements are symmetric and false for u = v, so the pairs u < v
+    suffice: at most C(|ind+(P)|, 2) of them, 1,953 under
+    ``PULLBACK_IND_PLUS``.
     """
     rig = Rig.BOOL2
     name = f"({format_cotree(b)},{format_cotree(a1)},{format_cotree(a2)})"
@@ -524,8 +535,10 @@ def check_foundational_pullback(
     ip_b = ind_plus(base_obj.graph)
     cand_1 = cliques(ip1.graph)
     cand_2 = cliques(ip2.graph)
-    legs1 = _images(cand_p, _vertex_table(proj1, ip_p, ip1))
-    legs2 = _images(cand_p, _vertex_table(proj2, ip_p, ip2))
+    table1 = _vertex_table(proj1, ip_p, ip1)
+    table2 = _vertex_table(proj2, ip_p, ip2)
+    legs1 = _images(cand_p, table1)
+    legs2 = _images(cand_p, table2)
     # pure-base parts, as cliques of ind+(B): a numbering both legs share
     keys1 = _images(cand_1, _vertex_table(base1, ip1, ip_b))
     keys2 = _images(cand_2, _vertex_table(base2, ip2, ip_b))
@@ -549,31 +562,24 @@ def check_foundational_pullback(
         f"pullback.count{name}(pairs={compat})", compat == len(cand_p),
         f"{len(cand_p)} candidates vs {compat} compatible pairs"))
 
-    # certificate part 3: products vanish upstairs iff they vanish in both legs
-    rng = random.Random(PRODUCT_SEED)
-    npairs = len(cand_p) * (len(cand_p) - 1) // 2
-    if npairs <= PRODUCT_SAMPLE:
-        pair_iter = ((i, j) for i in range(len(cand_p)) for j in range(i, len(cand_p)))
-        mode = "all"
-    else:
-        pair_iter = ((rng.randrange(len(cand_p)), rng.randrange(len(cand_p)))
-                     for _ in range(PRODUCT_SAMPLE))
-        mode = f"sample={PRODUCT_SAMPLE}"
+    # certificate part 3: products vanish upstairs iff they vanish in both
+    # legs, on every pair of monomials of P.  Two monomials multiply to
+    # non-zero exactly when they are adjacent in the complement of ind+;
+    # a table entry is the bit of one vertex, or 0
     prod_ok = True
     detail = ""
-    # as in graph_maps, a union of two cliques is a clique when one misses
-    # the other's neighbourhood in the complement
-    out_p = ip_p.graph.complement.neighbourhood
+    apart = ip_p.graph.complement.adjacency
     out1 = ip1.graph.complement.neighbourhood
     out2 = ip2.graph.complement.neighbourhood
-    for i, j in pair_iter:
-        up = bool(cand_p[j] & out_p(cand_p[i]))
-        down = bool(legs1[j] & out1(legs1[i]) or legs2[j] & out2(legs2[i]))
+    for u, v in combinations(range(len(apart)), 2):
+        up = bool(apart[u] >> v & 1)
+        down = bool(table1[v] & out1(table1[u]) or table2[v] & out2(table2[u]))
         if up != down:
             prod_ok = False
-            detail = f"pair ({i},{j}) disagrees"
+            detail = (f"monomials {format_mask(ip_p.labels[u])} and"
+                      f" {format_mask(ip_p.labels[v])} of P disagree")
             break
-    results.append(_result(f"pullback.products{name}({mode})", prod_ok, detail))
+    results.append(_result(f"pullback.products{name}(all)", prod_ok, detail))
 
     # cone-by-cone sweep where it fits the budget
     for apex in canonical_objects(apex_max):
@@ -694,7 +700,7 @@ def omega_witness(f: Morphism, g: Morphism, resolve: str = "strict"):
                     while qq:
                         bit = qq & -qq
                         j = bit.bit_length()
-                        per_j[j] = ga.slot_generator(j, ga.slot(b_hat, q_hat, j))
+                        per_j[j] = ga.slot_of[b_hat, q_hat, j]
                         qq ^= bit
                 if per_j not in assignments:
                     assignments.append(per_j)
@@ -709,11 +715,7 @@ def omega_witness(f: Morphism, g: Morphism, resolve: str = "strict"):
         )
 
     def build(chosen: dict[tuple[int, int], dict[int, int]]) -> Morphism:
-        images = []
-        for j in range(1, g.target.n + 1):
-            for s in range(1, ha.counts[j - 1] + 1):
-                circ = ha.circle_at(j, s)
-                images.append({1 << (chosen[circ][j] - 1): 1})
+        images = [{1 << (chosen[i, m][j] - 1): 1} for i, m, j in ha.slots]
         return mor.make(src, tgt, images, check=True)
 
     if resolve == "strict":
@@ -835,23 +837,20 @@ def gamma_witness(f: Morphism, g: Morphism) -> Morphism:
     src = algebra_of(fa.slot_cotree(), Rig.BOOL2)
     tgt = algebra_of(ha.slot_cotree(), Rig.BOOL2)
     images = []
-    for j in range(1, m + 1):
-        for s in range(1, fa.counts[j - 1] + 1):
-            a, v_mask = fa.circle_at(j, s)
-            u_mask = 0
-            mm = v_mask
-            while mm:
-                bit = mm & -mm
-                u_mask |= supports[bit.bit_length() - 1]
-                mm ^= bit
-            out_mask = 0
-            cover = supports[j - 1]
-            while cover:
-                bit = cover & -cover
-                l = bit.bit_length()
-                out_mask |= 1 << (ha.slot_generator(l, ha.slot(a, u_mask, l)) - 1)
-                cover ^= bit
-            images.append({out_mask: 1})
+    for a, v_mask, j in fa.slots:
+        u_mask = 0
+        mm = v_mask
+        while mm:
+            bit = mm & -mm
+            u_mask |= supports[bit.bit_length() - 1]
+            mm ^= bit
+        out_mask = 0
+        cover = supports[j - 1]
+        while cover:
+            bit = cover & -cover
+            out_mask |= 1 << (ha.slot_of[a, u_mask, bit.bit_length()] - 1)
+            cover ^= bit
+        images.append({out_mask: 1})
     return mor.make(src, tgt, images, check=True)
 
 

@@ -208,11 +208,17 @@ def test_join_is_complement_of_union_of_complements():
 
 
 def test_independent_iff_clique_in_complement():
+    # against the definitions, pair by pair: a set is independent in g when
+    # no two of its vertices are adjacent there, and a clique of the
+    # complement when every two are adjacent there
     for n in range(5):
         for g in all_graphs(n):
             comp = cg.complement(g)
             for mask in range(g.full_mask + 1):
-                assert cg.is_independent(g, mask) == cg.is_clique(comp, mask)
+                pairs = list(itertools.combinations(cg.vertices_of(mask), 2))
+                independent = not any(g.has_edge(u, v) for u, v in pairs)
+                assert cg.is_independent(g, mask) == independent
+                assert all(comp.has_edge(u, v) for u, v in pairs) == independent
 
 
 # ---------------------------------------------------------------------------

@@ -448,7 +448,7 @@ def test_cli_verify_default_run():
     assert proc.returncode == 0, err
     assert streamed and first.startswith(b"AXIOM ")
     assert hashlib.sha256(first + rest).hexdigest() == (
-        "5f03a4e1dbb8e2c46ad3142a00634f08043ee0fe95523776f754e2c8f0d7fdfa")
+        "ffb605dae9b07c3d48fb9b97f7887a9bfffad1e08636b5de0b076ef3e5e2f219")
     assert elapsed < 60.0, f"weil1 verify took {elapsed:.1f}s of its 60s budget"
 
 

@@ -1,6 +1,9 @@
+import functools
 import hashlib
 import itertools
+import operator
 import random
+import re
 import time
 
 import pytest
@@ -220,20 +223,21 @@ def reference_pullback(b, a1, a2, apex_max=2, cone_budget=200_000, sample=20_000
     compat = sum(n * b2.get(k, 0) for k, n in b1.items())
     out.append((f"pullback.count{name}(pairs={compat})", compat == len(cand_p)))
 
+    # every pair of candidates where there are few, else a seeded sample of
+    # them; the check under test is exact either way, so the label is "all"
     rng = random.Random(seed)
     n = len(cand_p)
     if n * (n - 1) // 2 <= sample:
-        pairs, mode = [(i, j) for i in range(n) for j in range(i, n)], "all"
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
     else:
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(sample)]
-        mode = f"sample={sample}"
     prod_ok = True
     for i, j in pairs:
         up = wa.dict_mul(dict(cand_p[i]), dict(cand_p[j]), p_obj)
         d1 = wa.dict_mul(dict.fromkeys(legs1[i], 1), dict.fromkeys(legs1[j], 1), t1_obj)
         d2 = wa.dict_mul(dict.fromkeys(legs2[i], 1), dict.fromkeys(legs2[j], 1), t2_obj)
         prod_ok = prod_ok and bool(up) == bool(d1 or d2)
-    out.append((f"pullback.products{name}({mode})", prod_ok))
+    out.append((f"pullback.products{name}(all)", prod_ok))
 
     base_obj = wa.algebra_of(b, B2)
     base1 = mor.tensor_mor(mor.identity(base_obj), mor.eps(wa.algebra_of(a1, B2)))
@@ -277,9 +281,9 @@ def test_foundational_pullback_matches_reference(triple):
     assert _verdicts(vf.check_foundational_pullback(*triple)) == reference_pullback(*triple)
 
 
-def _vertex_tables(triple):
-    """Every vertex table the pullback check builds, in call order, as
-    (ind+ of the source, ind+ of the target, table)."""
+def _vertex_tables(triple, **options):
+    """Every vertex table the pullback check builds, with its options, in
+    call order, as (ind+ of the source, ind+ of the target, table)."""
     built = []
     real = vf._vertex_table
 
@@ -289,12 +293,12 @@ def _vertex_tables(triple):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vf, "_vertex_table", record)
-        vf.check_foundational_pullback(*triple)
+        vf.check_foundational_pullback(*triple, **options)
     return built
 
 
-def _check_with_table(monkeypatch, triple, k, table):
-    """The pullback check with its k-th vertex table replaced."""
+def _check_with_table(monkeypatch, triple, k, table, **options):
+    """The pullback check, with its options, with its k-th vertex table replaced."""
     calls = []
     real = vf._vertex_table
 
@@ -303,7 +307,7 @@ def _check_with_table(monkeypatch, triple, k, table):
         return table if len(calls) - 1 == k else real(gen_map, src, dst)
 
     monkeypatch.setattr(vf, "_vertex_table", patched)
-    return vf.check_foundational_pullback(*triple)
+    return vf.check_foundational_pullback(*triple, **options)
 
 
 def _verdicts_with_table(monkeypatch, triple, k, table):
@@ -330,6 +334,68 @@ def test_corrupted_leg_table_fails_the_certificate(monkeypatch, triple):
                     monkeypatch, triple, k, table[:i] + (bit,) + table[i + 1:])
                 assert not (verdict["pullback.injective"] and verdict["pullback.products"]), \
                     (k, i, bit)
+
+
+def _products_over_candidate_pairs(triple, table1, table2):
+    """Oracle for the products certificate: over every ordered pair of
+    candidates of P, is the product non-zero upstairs exactly when it is
+    non-zero in a leg?  Candidates are the cliques of ind+(P), their leg
+    images go through the given projection tables member by member, and
+    the product of two monomials is a ``dict_mul`` in the algebra.
+    Returns the candidate count and the verdict."""
+    b, a1, a2 = triple
+    trees = [ct.tensor(b, ct.join(a1, a2)), ct.tensor(b, a1), ct.tensor(b, a2)]
+    ips = [cg.ind_plus(wa.algebra_of(t, B2).graph) for t in trees]
+    cands = cg.cliques(ips[0].graph)
+
+    def union(masks):
+        return functools.reduce(operator.or_, masks, 0)
+
+    def partners(images, ip, tree):
+        """Per image, the bitset of the images it has a non-zero product with."""
+        obj = wa.algebra_of(tree, B2)
+        live = [union(1 << v for v, n in enumerate(ip.labels) if wa.dict_mul({m: 1}, {n: 1}, obj))
+                for m in ip.labels]
+        holders = [0] * ip.graph.n  # holders[v]: the images that hold vertex v + 1
+        for j, image in enumerate(images):
+            for v in cg.vertices_of(image):
+                holders[v - 1] |= 1 << j
+        out = []
+        for image in images:
+            reach = union(live[v - 1] for v in cg.vertices_of(image))
+            out.append(union(holders[w - 1] for w in cg.vertices_of(reach)))
+        return out
+
+    up = partners(cands, ips[0], trees[0])
+    down = [partners([union(table[v - 1] for v in cg.vertices_of(c)) for c in cands], ip, tree)
+            for table, ip, tree in ((table1, ips[1], trees[1]), (table2, ips[2], trees[2]))]
+    return len(cands), all(u == d1 | d2 for u, d1, d2 in zip(up, *down))
+
+
+@pytest.mark.parametrize("triple, candidates", [
+    ((ct.n_tensor(2), ct.W, ct.W), 384),
+    ((ct.W, ct.n_tensor(2), ct.n_join(2)), 544),
+    ((ct.n_join(2), ct.n_join(2), ct.W), 704),
+], ids=["2W,W,W", "W,2W,W^2", "W^2,W^2,W"])
+def test_products_on_monomials_match_every_candidate_pair(monkeypatch, triple, candidates):
+    # squares with 73,536 to 247,456 pairs of candidates: the verdict on
+    # monomial pairs equals the exhaustive one on candidate pairs, for the
+    # true projection tables and for each of their entries dropped to 0
+    tables = [table for _, _, table in _vertex_tables(triple, apex_max=0)[:2]]
+    variants = [(0, tables[0])] + [
+        (k, table[:i] + (0,) + table[i + 1:])
+        for k, table in enumerate(tables) for i in range(len(table)) if table[i]]
+    verdicts = set()
+    for k, table in variants:
+        report = _check_with_table(monkeypatch, triple, k, table, apex_max=0)
+        products = next(r for r in report.results if r.ident.startswith("pullback.products"))
+        legs = list(tables)
+        legs[k] = table
+        assert (candidates, products.passed) == _products_over_candidate_pairs(triple, *legs), (k, table)
+        assert products.passed or re.fullmatch(r"monomials \{[\d,]+\} and \{[\d,]+\} of P disagree",
+                                               products.detail), products.detail
+        verdicts.add(products.passed)
+    assert verdicts == {True, False}
 
 
 def test_failed_cone_names_its_morphisms(monkeypatch):
