@@ -32,17 +32,35 @@ class NotACograph(ValueError):
 
 
 class Frozen:
-    """Base of the immutable value classes: once ``__init__`` has set the
-    fields through ``object.__setattr__``, assigning or deleting an
-    attribute raises AttributeError.  ``_fields`` names the ``__init__``
-    arguments: copy and pickle rebuild a value by calling ``__init__`` with
-    them, which also recomputes a cached hash in the new process."""
+    """Base of the immutable value classes, which compare and hash by value.
+
+    ``_fields`` names the ``__init__`` arguments.  ``__init__`` sets each
+    field through ``object.__setattr__`` and keeps their tuple as ``_key``,
+    with its hash computed once; equality is equality of ``_key`` between
+    values of the same class.  Once built, assigning or deleting an
+    attribute raises AttributeError.  Copy and pickle rebuild a value by
+    calling ``__init__`` with ``_key``, which also recomputes the hash in the
+    new process."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", values)
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        return type(self), self._key
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
@@ -62,16 +80,8 @@ class Graph(Frozen):
     _fields = ("adjacency",)
 
     def __init__(self, adjacency: tuple[int, ...]):
-        object.__setattr__(self, "adjacency", adjacency)
+        super().__init__(adjacency)
         object.__setattr__(self, "n", len(adjacency))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.adjacency == other.adjacency
-
-    def __hash__(self) -> int:
-        return hash((self.adjacency,))
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:

@@ -31,21 +31,11 @@ class Cotree(Frozen):
     """Normalised expression tree over {K, W, tensor, join}; two trees are
     equal when their kinds and parts are."""
 
-    __slots__ = ("kind", "parts", "_hash")
+    __slots__ = ("kind", "parts", "_key", "_hash")
     _fields = ("kind", "parts")
 
     def __init__(self, kind: str, parts: tuple[Cotree, ...] = ()):
-        object.__setattr__(self, "kind", kind)  # "K" | "W" | "tensor" | "join"
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_hash", hash((kind, parts)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kind == other.kind and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return self._hash
+        super().__init__(kind, parts)  # kind is "K" | "W" | "tensor" | "join"
 
     def __repr__(self) -> str:
         return f"Cotree({format_cotree(self)!r})"
@@ -57,28 +47,22 @@ W = Cotree("W")
 
 def tensor(*parts: Cotree) -> Cotree:
     """Tensor of cotrees; flattens nested tensors and absorbs the unit K."""
-    flat: list[Cotree] = []
-    for p in parts:
-        if p.kind == "K":
-            continue
-        if p.kind == "tensor":
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    if not flat:
-        return K
-    if len(flat) == 1:
-        return flat[0]
-    return Cotree("tensor", tuple(flat))
+    return _flat("tensor", parts)
 
 
 def join(*parts: Cotree) -> Cotree:
     """Product of cotrees; flattens nested joins and absorbs the unit K."""
+    return _flat("join", parts)
+
+
+def _flat(kind: str, parts: tuple[Cotree, ...]) -> Cotree:
+    """The ``kind`` node over ``parts``, in normal form: K parts dropped,
+    children of the same kind spliced in, and no node of one child."""
     flat: list[Cotree] = []
     for p in parts:
         if p.kind == "K":
             continue
-        if p.kind == "join":
+        if p.kind == kind:
             flat.extend(p.parts)
         else:
             flat.append(p)
@@ -86,7 +70,7 @@ def join(*parts: Cotree) -> Cotree:
         return K
     if len(flat) == 1:
         return flat[0]
-    return Cotree("join", tuple(flat))
+    return Cotree(kind, tuple(flat))
 
 
 def n_tensor(n: int) -> Cotree:
@@ -203,15 +187,11 @@ def format_cotree(t: Cotree) -> str:
     if t.kind == "tensor":
         if is_all_w(t):
             return f"{len(t.parts)}W"
-        return " @ ".join(_format_tensor_factor(p) for p in t.parts)
+        # factors are W or join-rooted; '*' binds tighter than '@' so no parens needed
+        return " @ ".join(format_cotree(p) for p in t.parts)
     if is_all_w(t):
         return f"W^{len(t.parts)}"
     return " * ".join(_format_join_child(p) for p in t.parts)
-
-
-def _format_tensor_factor(t: Cotree) -> str:
-    # factors are W or join-rooted; '*' binds tighter than '@' so no parens needed
-    return format_cotree(t)
 
 
 def _format_join_child(t: Cotree) -> str:

@@ -49,6 +49,9 @@ HOM_ASSIGNMENTS = 2_000_000
 # square of the default ``weil1 verify``, (2W,2W,2W), has 791,552
 PULLBACK_IND_PLUS = 63
 PULLBACK_CANDIDATES = 1_000_000
+# the pullback check sweeps an apex's cones one by one where their estimated
+# number is at most this; above it the certificate decides
+CONE_SWEEP = 200_000
 # canonical_objects refuses, with TooLarge, to scan more labelled graphs than
 # this: every size up to 6 is 33,868 graphs, up to 7 is 2,131,020
 OBJECT_SCAN = 100_000
@@ -358,8 +361,7 @@ def _core_axioms(rig: Rig) -> list[AxiomResult]:
 
 def _naturality_checks(max_vertices: int) -> list[AxiomResult]:
     rig = Rig.BOOL2
-    w, gens = _w_pieces(rig)
-    idw = mor.identity(w)
+    _, gens = _w_pieces(rig)
     transformations = {
         "p": gens["eps_W"],
         "eta": gens["eta_W"],
@@ -463,7 +465,6 @@ def check_foundational_pullback(
     a1: Cotree,
     a2: Cotree,
     apex_max: int = 2,
-    cone_budget: int = 200_000,
 ) -> AxiomReport:
     """Existence and uniqueness of pullback factorizations for the square of
     P = B (x) (A1 x A2) over B, with legs T1 = B (x) A1 and T2 = B (x) A2.
@@ -478,7 +479,7 @@ def check_foundational_pullback(
     ``IND_PLUS_GUARD`` of a leg's ind+ or over ``PULLBACK_CANDIDATES``
     cliques raise TooLarge, naming the square and the budget.
 
-    Where the full cone set fits the budget it is swept cone by cone, on
+    Where an apex's cone set fits ``CONE_SWEEP`` it is swept cone by cone, on
     tuples of candidate indices.  Where it does not, an exact certificate
     pins the same conclusion: the projection pair is injective on the
     candidates of P (checked one by one), their count equals the number of
@@ -588,7 +589,7 @@ def check_foundational_pullback(
         # that disagrees with the candidates must not lift the budget
         est = max(compat, len(cand_p)) ** max(x.n, 1)
         ident = f"pullback.cones{name}[{format_cotree(apex)}]"
-        if est > cone_budget:
+        if est > CONE_SWEEP:
             results.append(_result(ident + "(certified)", inj_ok and compat == len(cand_p) and prod_ok,
                                    "certificate failed"))
             continue

@@ -31,19 +31,6 @@ class WeilObject(Frozen):
 
     _fields = ("cotree", "rig")
 
-    def __init__(self, cotree: Cotree, rig: Rig):
-        object.__setattr__(self, "cotree", cotree)
-        object.__setattr__(self, "rig", rig)
-        object.__setattr__(self, "_hash", hash((cotree, rig)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.cotree, self.rig) == (other.cotree, other.rig)
-
-    def __hash__(self) -> int:
-        return self._hash
-
     @cached_property
     def graph(self) -> Graph:
         return realize(self.cotree)
@@ -107,23 +94,8 @@ class Polynomial(Frozen):
     sorted by size, then lexicographic members (``mask_key``), so term
     indices and printed text follow that order."""
 
-    __slots__ = ("ambient", "constant", "terms", "_hash")
+    __slots__ = ("ambient", "constant", "terms", "_key", "_hash")
     _fields = ("ambient", "constant", "terms")
-
-    def __init__(self, ambient: WeilObject, constant: int, terms: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "terms", terms)  # ((mask, coeff), ...) sorted by mask_key
-        object.__setattr__(self, "_hash", hash((ambient, constant, terms)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.ambient, self.constant, self.terms)
-                == (other.ambient, other.constant, other.terms))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def is_zero(self) -> bool:
         return self.constant == 0 and not self.terms

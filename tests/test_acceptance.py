@@ -135,9 +135,7 @@ def test_criterion_6_foundational_pullbacks():
     with _Budget(6, "foundational pullbacks", 120.0):
         objs = vf.canonical_objects(2)
         for b, a1, a2 in itertools.product(objs, repeat=3):
-            report = vf.check_foundational_pullback(
-                b, a1, a2, apex_max=2, cone_budget=20_000
-            )
+            report = vf.check_foundational_pullback(b, a1, a2, apex_max=2)
             assert report.all_passed, (b, a1, a2, report.failures())
 
 

@@ -12,7 +12,7 @@ from weil1 import genexpr as ge
 from weil1 import morphism as mor
 from weil1 import weilalg as wa
 from weil1.dsl import parse_genexpr
-from weil1.verify import canonical_objects, enumerate_hom
+from weil1.verify import canonical_objects, enumerate_hom, kappa_candidates
 
 
 B2, NAT = Rig.BOOL2, Rig.NAT
@@ -327,3 +327,57 @@ def test_plus_expr_tower():
         assert f.source.cotree == ct.n_join(m)
         for i in range(1, m + 1):
             assert f.image(i) == wa.poly(wa.algebra_of(ct.W, NAT), {1: 1})
+
+
+def _draw_images(rnd, a, b):
+    """Images of a random {0,1} morphism a -> b: a kappa vertex of b per
+    generator, backtracking over the candidates in a shuffled order until
+    the images of every edge of a multiply to zero."""
+    cands = [dict(terms) for terms in kappa_candidates(b.cotree)]
+    earlier = [[] for _ in range(a.n)]
+    for u, v in a.graph.edges:
+        earlier[v - 1].append(u - 1)
+    choice = []
+
+    def extend(i):
+        if i == a.n:
+            return True
+        order = list(range(len(cands)))
+        rnd.shuffle(order)
+        for c in order:
+            if all(not wa.dict_mul(cands[choice[j]], cands[c], b) for j in earlier[i]):
+                choice.append(c)
+                if extend(i + 1):
+                    return True
+                choice.pop()
+        return False
+
+    assert extend(0)
+    return [cands[c] for c in choice]
+
+
+def test_four_vertex_morphisms_differential():
+    """Seeded morphisms from every object with at most 4 vertices into every
+    4-vertex object, one per pair, where the exhaustive sweeps stop at 3:
+    decompose/evaluate over both rigs, expand_ghat on a nat lift with
+    coefficients 1-3, the Kleisli round trip, and Kleisli composition with
+    a map into an object of at most 3 vertices against compose."""
+    objs = canonical_objects(4)
+    targets = [t for t in objs if ct.leaves(t) == 4]
+    small = [t for t in objs if ct.leaves(t) <= 3]
+    rnd = random.Random(1605)
+    for a_tree, b_tree in itertools.product(objs, targets):
+        a, b = wa.algebra_of(a_tree, B2), wa.algebra_of(b_tree, B2)
+        f = mor.make(a, b, _draw_images(rnd, a, b), check=True)
+        assert ge.evaluate(ge.decompose(f), B2) == f, f
+        g = mor.make(wa.algebra_of(a_tree, NAT), wa.algebra_of(b_tree, NAT),
+                     [{mask: rnd.randint(1, 3) for mask in d} for d in f.image_dicts()],
+                     check=True)
+        e = ge.decompose(g)
+        assert ge.evaluate(e, NAT) == g, g
+        assert ge.evaluate(ge.expand_ghat(e), NAT) == g, g
+        km = mor.to_kleisli(f)
+        assert mor.from_kleisli(km, a, b) == f, f
+        c = wa.algebra_of(rnd.choice(small), B2)
+        h = mor.make(b, c, _draw_images(rnd, b, c), check=True)
+        assert mor.kleisli_compose(mor.to_kleisli(h), km) == mor.to_kleisli(mor.compose(h, f)), (f, h)

@@ -287,9 +287,12 @@ def test_value_classes_are_immutable_values():
     for value, twin, text, field in value_pairs():
         assert value is not twin and value == twin and not value != twin, text
         assert hash(value) == hash(twin), text
+        assert hash(value) == hash(tuple(getattr(value, f) for f in type(value)._fields)), text
         assert repr(value) == text
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(twin, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
         for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert copied == value and hash(copied) == hash(value), text
     g = cg.graph(2, [(1, 2)])
