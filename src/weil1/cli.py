@@ -48,9 +48,8 @@ def _rig(args) -> Rig:
 def _guess_kind(text: str) -> str:
     if "|->" in text or (":" in text and "->" in text):
         return "morphism"
-    heads = ("comp(", "tensor(", "pair(", "pairat(", "id(", "proj(", "ghat(")
     stripped = text.strip()
-    if stripped in ("eps", "eta", "plus", "l", "c") or stripped.startswith(heads):
+    if stripped in dsl.LEAVES or stripped.startswith(tuple(h + "(" for h in dsl.HEADS)):
         return "genexpr"
     return "object"
 

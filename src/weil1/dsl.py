@@ -11,11 +11,17 @@ monomial product, ``+`` separates terms, an optional leading integer is a
 coefficient (needs the nat rig when above 1), ``0`` is the zero polynomial,
 and a missing clause sends a generator to 0.
 
-Expressions: prefix form, e.g. ``comp(tensor(id(W), eta), l)``.
+Expressions: prefix form, e.g. ``comp(tensor(id(W), eta), l)``; ``LEAVES``
+and ``HEADS`` list the leaves and the heads with their arguments.
+
+Tokens: an integer is decimal digits, a name is a letter followed by letters,
+digits or ``_``, and spaces, tabs, carriage returns and newlines separate
+tokens.  Columns in error messages count characters.
 """
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 
 from .rig import Rig, check_coeff
@@ -38,6 +44,20 @@ class DslSyntaxError(ValueError):
 # kind is INT | NAME | SYM | EOF
 _Token = namedtuple("_Token", "kind text line col")
 
+# the expression leaves, by the name of their ``genexpr`` node
+LEAVES = {"eps": "Eps", "eta": "Eta", "plus": "Plus", "l": "L", "c": "C"}
+# each expression head: its ``genexpr`` node class and its arguments, one
+# letter each: ``o`` an object, ``i`` an integer, ``e`` an expression
+HEADS = {
+    "id": ("Id", "o"),
+    "ghat": ("Ghat", "i"),
+    "proj": ("Proj", "oi"),
+    "tensor": ("Tensor", "ee"),
+    "comp": ("Compose", "ee"),
+    "pair": ("Pair", "ee"),
+    "pairat": ("Pair", "iiiee"),
+}
+
 
 # most leaves (W factors) one input may spell with ``nW`` and ``W^n``, checked
 # before the leaves are built: W^1000000 still parses (in under a second),
@@ -47,54 +67,33 @@ LEAF_BUDGET = 1_000_000
 # cotree equality recurse per level, and past about 120 exhaust the stack
 NESTING_BUDGET = 100
 
-_SYMBOLS = ("|->", "->", "(", ")", "^", "*", "@", ":", ";", ",", "+", "-")
+# one token per match, tried in order: symbols (longest first), an integer
+# (decimal digits, exactly what ``int`` reads), a name (a letter, then letters,
+# digits or ``_``), a newline, blanks, and any other character, which is refused.
+# The name's first class also admits numeric characters such as ``²`` and
+# ``½``, so ``_tokenize`` checks that one is a letter.
+_TOKEN = re.compile(r"(?P<SYM>\|->|->|[()^*@:;,+-])|(?P<INT>\d+)|(?P<NAME>[^\W\d_]\w*)"
+                    r"|(?P<NL>\n)|[ \t\r]+|(?P<BAD>.)", re.DOTALL)
 
 
 def _tokenize(text: str) -> list[_Token]:
     out = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        matched = None
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                matched = sym
-                break
-        if matched:
-            out.append(_Token("SYM", matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(_Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
-    out.append(_Token("EOF", "", line, col))
+    line, start = 1, 0  # start: the index at which the current line begins
+    for m in _TOKEN.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        if kind == "NL":
+            line, start = line + 1, pos + 1
+        elif kind == "BAD" or kind == "NAME" and not text[pos].isalpha():
+            raise DslSyntaxError(f"unexpected character {text[pos]!r}", line, pos - start + 1)
+        elif kind:
+            out.append(_Token(kind, m.group(), line, pos - start + 1))
+    out.append(_Token("EOF", "", line, len(text) - start + 1))
     return out
+
+
+def _unexpected(tok: _Token, expected: str) -> DslSyntaxError:
+    return DslSyntaxError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col,
+                          expected=expected)
 
 
 class _Parser:
@@ -115,9 +114,7 @@ class _Parser:
     def expect(self, kind: str, text: str | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise DslSyntaxError(f"unexpected {tok.text or 'end of input'!r}",
-                                 tok.line, tok.col, expected=want)
+            raise _unexpected(tok, text if text is not None else kind)
         return self.next()
 
     def open_paren(self) -> None:
@@ -136,8 +133,10 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "SYM" and tok.text == text
 
-    def done(self) -> bool:
-        return self.peek().kind == "EOF"
+    def end(self, expected: str) -> None:
+        """Refuse any token left after a whole input."""
+        if self.peek().kind != "EOF":
+            raise _unexpected(self.peek(), expected)
 
     # objects -------------------------------------------------------------
 
@@ -166,7 +165,7 @@ class _Parser:
             self.next()
             w = self.expect("NAME")
             if w.text != "W":
-                raise DslSyntaxError(f"unexpected {w.text!r}", w.line, w.col, expected="W")
+                raise _unexpected(w, "W")
             return n_tensor(self.leaf_count(tok))
         if tok.kind == "NAME" and tok.text == "k":
             self.next()
@@ -178,8 +177,7 @@ class _Parser:
                 power = self.expect("INT")
                 return join(*([W] * self.leaf_count(power)))
             return W
-        raise DslSyntaxError(f"unexpected {tok.text or 'end of input'!r}",
-                             tok.line, tok.col, expected="an object")
+        raise _unexpected(tok, "an object")
 
     def leaf_count(self, tok: _Token) -> int:
         """The count in ``nW`` or ``W^n``, refused with TooLarge when the
@@ -213,9 +211,7 @@ class _Parser:
                                      gen_tok.line, gen_tok.col)
             self.expect("SYM", "|->")
             images[i] = self._poly(tgt.n, rig)
-        end = self.peek()
-        if end.kind != "EOF":
-            raise DslSyntaxError(f"unexpected {end.text!r}", end.line, end.col, expected="';'")
+        self.end("';'")
         return validate(src, tgt, [images.get(i, []) for i in range(1, src.n + 1)])
 
     def _gen_index(self, tok: _Token, bound: int) -> int:
@@ -270,9 +266,7 @@ class _Parser:
             mask |= bit
             saw = True
         if not saw:
-            tok = self.peek()
-            raise DslSyntaxError(f"unexpected {tok.text or 'end of input'!r}",
-                                 tok.line, tok.col, expected="a monomial")
+            raise _unexpected(self.peek(), "a monomial")
         return mask, coeff
 
     # expressions ----------------------------------------------------------
@@ -281,60 +275,32 @@ class _Parser:
         from . import genexpr as ge  # loaded only by the commands that read expressions
 
         tok = self.expect("NAME")
-        name = tok.text
-        leaves = {"eps": ge.Eps, "eta": ge.Eta, "plus": ge.Plus, "l": ge.L, "c": ge.C}
-        if name in leaves:
-            return leaves[name]
-        if name == "id":
-            self.open_paren()
-            obj = self.object_expr()
-            self.close_paren()
-            return ge.Id(obj)
-        if name == "ghat":
-            self.open_paren()
-            r = self.expect("INT")
-            self.close_paren()
-            return ge.Ghat(int(r.text))
-        if name == "proj":
-            self.open_paren()
-            obj = self.object_expr()
-            self.expect("SYM", ",")
-            side = self.expect("INT")
-            self.close_paren()
-            return ge.Proj(obj, int(side.text))
-        if name in ("tensor", "comp", "pair"):
-            self.open_paren()
-            e1 = self.genexpr()
-            self.expect("SYM", ",")
-            e2 = self.genexpr()
-            self.close_paren()
-            if name == "tensor":
-                return ge.Tensor(e1, e2)
-            if name == "comp":
-                return ge.Compose(e1, e2)
-            return ge.Pair(e1, e2)
-        if name == "pairat":
-            self.open_paren()
-            at = int(self.expect("INT").text)
-            self.expect("SYM", ",")
-            k1 = int(self.expect("INT").text)
-            self.expect("SYM", ",")
-            k2 = int(self.expect("INT").text)
-            self.expect("SYM", ",")
-            e1 = self.genexpr()
-            self.expect("SYM", ",")
-            e2 = self.genexpr()
-            self.close_paren()
-            return ge.Pair(e1, e2, at, k1, k2)
-        raise DslSyntaxError(f"unknown expression head {name!r}", tok.line, tok.col)
+        if tok.text in LEAVES:
+            return getattr(ge, LEAVES[tok.text])
+        if tok.text not in HEADS:
+            raise DslSyntaxError(f"unknown expression head {tok.text!r}", tok.line, tok.col)
+        node, kinds = HEADS[tok.text]
+        self.open_paren()
+        args = []
+        for i, kind in enumerate(kinds):
+            if i:
+                self.expect("SYM", ",")
+            if kind == "o":
+                args.append(self.object_expr())
+            elif kind == "i":
+                args.append(int(self.expect("INT").text))
+            else:
+                args.append(self.genexpr())
+        self.close_paren()
+        if tok.text == "pairat":  # pairat(at, k1, k2, e1, e2) is Pair(e1, e2, at, k1, k2)
+            args = args[3:] + args[:3]
+        return getattr(ge, node)(*args)
 
 
 def parse_object(text: str) -> Cotree:
     p = _Parser(text)
     obj = p.object_expr()
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise DslSyntaxError(f"unexpected {tok.text!r}", tok.line, tok.col, expected="end of input")
+    p.end("end of input")
     return obj
 
 
@@ -347,9 +313,7 @@ def parse_genexpr(text: str):
     """The ``genexpr.GenExpr`` that ``text`` spells."""
     p = _Parser(text)
     e = p.genexpr()
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise DslSyntaxError(f"unexpected {tok.text!r}", tok.line, tok.col, expected="end of input")
+    p.end("end of input")
     return e
 
 

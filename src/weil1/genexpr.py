@@ -382,78 +382,74 @@ class DecompositionTrace(namedtuple("DecompositionTrace", "steps")):
         return self.steps[-1][1]
 
 
-class _Trace:
-    """What one decomposition carries along: the memo of decomposed sub-maps
-    it reads and writes (None when traced) and its build log (None when
-    untraced)."""
-
-    __slots__ = ("memo", "steps")
-
-    def __init__(self, memo: dict | None, steps: list | None = None):
-        self.memo = memo
-        self.steps = steps
-
-
 # sub-maps repeat heavily across the maps of one hom-set, so untraced runs
 # share one memo; a traced run reads no memo, so every step is logged, also
-# a sub-map that comes up twice in one decomposition
+# a sub-map that comes up twice in one decomposition.  Every step below takes
+# ``steps``, the build log: None when untraced, a list when traced.
 _MEMO: dict[Morphism, GenExpr] = {}
 
 
 def decompose(f: Morphism) -> GenExpr:
     """Canonical expression for ``f`` in the generating maps; round-trips
     through ``evaluate`` exactly."""
-    return _decompose(f, _Trace(_MEMO))
+    return _decompose(f, None)
 
 
 def decompose_with_trace(f: Morphism) -> tuple[GenExpr, DecompositionTrace]:
-    trace = _Trace(None, [])
-    e = _decompose(f, trace)
-    return e, DecompositionTrace(tuple(trace.steps))
+    steps: list = []
+    e = _decompose(f, steps)
+    return e, DecompositionTrace(tuple(steps))
 
 
-def _record(trace: _Trace, tag: str, expr: GenExpr) -> GenExpr:
-    if trace.steps is not None:
-        trace.steps.append((tag, expr))
+def _record(steps: list | None, tag: str, expr: GenExpr) -> GenExpr:
+    if steps is not None:
+        steps.append((tag, expr))
     return expr
 
 
 def _memoised(step):
-    """Look a sub-map up in the run's memo, if it has one, before decomposing it.
+    """Look a sub-map up in ``_MEMO``, when untraced, before decomposing it.
 
     ``_split_slots`` and ``_decompose_flat`` agree on every map both accept
     (a flat target), so they share the memo."""
 
-    def run(f: Morphism, trace: _Trace) -> GenExpr:
-        if trace.memo is None:
-            return step(f, trace)
-        e = trace.memo.get(f)
+    def run(f: Morphism, steps: list | None) -> GenExpr:
+        if steps is not None:
+            return step(f, steps)
+        e = _MEMO.get(f)
         if e is None:
-            e = trace.memo[f] = step(f, trace)
+            e = _MEMO[f] = step(f, None)
         return e
 
     return run
 
 
-def _decompose(f: Morphism, trace: _Trace) -> GenExpr:
+def _decompose(f: Morphism, steps: list | None) -> GenExpr:
     if f.target.cotree.kind == "K":
-        return _record(trace, "Projection", eps_expr(f.source.cotree))
+        return _record(steps, "Projection", eps_expr(f.source.cotree))
     if f.source.cotree.kind == "K":
-        return _record(trace, "OneCircle", eta_expr(f.target.cotree))
+        return _record(steps, "OneCircle", eta_expr(f.target.cotree))
     if any(f.target.graph.adjacency):
-        return _split_at_join(f, trace, "PullbackTarget", _decompose)
-    return _decompose_edgeless(f, trace)
+        return _split_at_join(f, steps, "PullbackTarget", _decompose)
+    return _decompose_edgeless(f, steps)
 
 
-def _decompose_edgeless(f: Morphism, trace: _Trace) -> GenExpr:
+def _zero_map(f: Morphism, steps: list | None) -> GenExpr:
+    """The zero map: eta out of k, else eta after eps."""
+    if f.source.cotree.kind == "K":
+        return _record(steps, "OneCircle", eta_expr(f.target.cotree))
+    expr = Compose(eta_expr(f.target.cotree), eps_expr(f.source.cotree))
+    return _record(steps, "SplitCircles", expr)
+
+
+def _decompose_edgeless(f: Morphism, steps: list | None) -> GenExpr:
     if f.is_zero_map():
-        expr = Compose(eta_expr(f.target.cotree), eps_expr(f.source.cotree))
-        return _record(trace, "SplitCircles", expr)
+        return _zero_map(f, steps)
     assignment = SlotAssignment(f)
     lifted = assignment.lift()
     recomb = _recombiner_expr(assignment.counts)
-    inner = _split_slots(lifted, trace)
-    return _record(trace, "SplitGeneral", Compose(recomb, inner))
+    inner = _split_slots(lifted, steps)
+    return _record(steps, "SplitGeneral", Compose(recomb, inner))
 
 
 def _recombiner_expr(counts: tuple[int, ...]) -> GenExpr:
@@ -461,10 +457,10 @@ def _recombiner_expr(counts: tuple[int, ...]) -> GenExpr:
 
 
 @_memoised
-def _split_slots(f: Morphism, trace: _Trace) -> GenExpr:
+def _split_slots(f: Morphism, steps: list | None) -> GenExpr:
     if all(p.kind != "join" for p in factors(f.target.cotree)):
-        return _decompose_flat(f, trace)
-    return _split_at_join(f, trace, "SplitCircles", _split_slots)
+        return _decompose_flat(f, steps)
+    return _split_at_join(f, steps, "SplitCircles", _split_slots)
 
 
 @lru_cache(maxsize=None)
@@ -488,23 +484,20 @@ def _split_data(target: "mor.WeilObject"):
     return at, k1, k2, t1_obj, t2_obj, gm1, gm2
 
 
-def _split_at_join(f: Morphism, trace: _Trace, tag: str, recurse) -> GenExpr:
+def _split_at_join(f: Morphism, steps: list | None, tag: str, recurse) -> GenExpr:
     """Split the first product factor of the target through its pullback."""
     at, k1, k2, t1_obj, t2_obj, gm1, gm2 = _split_data(f.target)
-    e1 = recurse(mor.compose_restriction(gm1, t1_obj, f), trace)
-    e2 = recurse(mor.compose_restriction(gm2, t2_obj, f), trace)
-    return _record(trace, tag, Pair(e1, e2, at, k1, k2))
+    e1 = recurse(mor.compose_restriction(gm1, t1_obj, f), steps)
+    e2 = recurse(mor.compose_restriction(gm2, t2_obj, f), steps)
+    return _record(steps, tag, Pair(e1, e2, at, k1, k2))
 
 
 @_memoised
-def _decompose_flat(f: Morphism, trace: _Trace) -> GenExpr:
+def _decompose_flat(f: Morphism, steps: list | None) -> GenExpr:
     """Decompose a map with pairwise disjoint circles into a flat tensor of W's."""
-    a = f.source.cotree
     if f.is_zero_map():
-        if a.kind == "K":
-            return _record(trace, "OneCircle", eta_expr(f.target.cotree))
-        expr = Compose(eta_expr(f.target.cotree), eps_expr(a))
-        return _record(trace, "SplitCircles", expr)
+        return _zero_map(f, steps)
+    a = f.source.cotree
     if a.kind == "W":
         terms = f.raw[0]
         if len(terms) != 1:
@@ -513,14 +506,14 @@ def _decompose_flat(f: Morphism, trace: _Trace) -> GenExpr:
         body = one_circle_expr(f.target.cotree, mask)
         if coeff > 1:
             body = Compose(body, Ghat(coeff))
-            return _record(trace, "Coefficient", body)
-        return _record(trace, "OneCircle", body)
+            return _record(steps, "Coefficient", body)
+        return _record(steps, "OneCircle", body)
     if a.kind == "join":
-        return _project_source(f, trace)
-    return _tensor_split_source(f, trace)
+        return _project_source(f, steps)
+    return _tensor_split_source(f, steps)
 
 
-def _project_source(f: Morphism, trace: _Trace) -> GenExpr:
+def _project_source(f: Morphism, steps: list | None) -> GenExpr:
     """A disjoint-circle map out of a product lives in one factor."""
     a = f.source.cotree
     n1 = leaves(a.parts[0])
@@ -531,50 +524,46 @@ def _project_source(f: Morphism, trace: _Trace) -> GenExpr:
     kept = a.parts[0] if side == 1 else join(*a.parts[1:])
     kept_obj = algebra_of(kept, f.rig)
     sub = Morphism(kept_obj, f.target, f.raw[:n1] if side == 1 else f.raw[n1:])
-    e = _decompose_flat(sub, trace)
-    return _record(trace, "Projection", Compose(e, Proj(a, side)))
+    e = _decompose_flat(sub, steps)
+    return _record(steps, "Projection", Compose(e, Proj(a, side)))
 
 
-def _tensor_split_source(f: Morphism, trace: _Trace) -> GenExpr:
+def _tensor_split_source(f: Morphism, steps: list | None) -> GenExpr:
     """Split a disjoint-circle map along the source tensor, then restore the
     target generator order with a flip network."""
     a = f.source.cotree
     a1 = a.parts[0]
     arest = tensor(*a.parts[1:])
     n1 = leaves(a1)
-    hit1 = _hit_positions(f.raw[:n1])
-    hitrest = _hit_positions(f.raw[n1:])
+    hit1 = _hit_mask(f.raw[:n1])
+    hitrest = _hit_mask(f.raw[n1:])
     if hit1 & hitrest:
         raise TypeMismatch("intersecting circles across the source tensor")
-    r = f.target.n
-    all_pos = set(range(1, r + 1))
-    unhit = all_pos - hit1 - hitrest
-    order = sorted(hit1) + sorted(hitrest) + sorted(unhit)
-    f1 = _restrict(f, a1, f.raw[:n1], sorted(hit1))
-    frest = _restrict(f, arest, f.raw[n1:], sorted(hitrest))
-    e1 = _decompose_flat(f1, trace)
-    erest = _decompose_flat(frest, trace)
+    kept1, keptrest = vertices_of(hit1), vertices_of(hitrest)
+    unhit = vertices_of(((1 << f.target.n) - 1) & ~(hit1 | hitrest))
+    f1 = _restrict(f, a1, f.raw[:n1], kept1)
+    frest = _restrict(f, arest, f.raw[n1:], keptrest)
+    e1 = _decompose_flat(f1, steps)
+    erest = _decompose_flat(frest, steps)
     if unhit:
         base = Tensor(e1, Tensor(erest, eta_expr(n_tensor(len(unhit)))))
     else:
         base = Tensor(e1, erest)
-    perm = [0] * r
-    for pos, target_gen in enumerate(order, start=1):
-        perm[pos - 1] = target_gen
-    net = perm_network(tuple(perm))
+    net = perm_network(kept1 + keptrest + unhit)
     expr = base if net is None else Compose(net, base)
-    return _record(trace, "NoIntersect", expr)
+    return _record(steps, "NoIntersect", expr)
 
 
-def _hit_positions(raw) -> set[int]:
+def _hit_mask(raw) -> int:
+    """The target positions that the images ``raw`` hit, as a mask."""
     hit = 0
     for terms in raw:
         for mask, _ in terms:
             hit |= mask
-    return set(vertices_of(hit))
+    return hit
 
 
-def _restrict(f: Morphism, src: Cotree, raw, kept_positions: list[int]) -> Morphism:
+def _restrict(f: Morphism, src: Cotree, raw, kept_positions: tuple) -> Morphism:
     """The map out of ``src`` with images ``raw``, a slice of f's, with the
     target compressed to ``kept_positions``: every position those images
     hit, so no term is dropped."""

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations, product
+from math import prod
 
 from .rig import Rig
 from .cograph import (
@@ -721,18 +722,11 @@ def omega_witness(f: Morphism, g: Morphism, resolve: str = "strict"):
 
     if resolve == "strict":
         return build({c: asgn[0] for c, asgn in circle_options})
-    combos: list[dict] = [{}]
-    for c, asgn in circle_options:
-        extended = []
-        for prev in combos:
-            for choice in asgn:
-                nxt = dict(prev)
-                nxt[c] = choice
-                extended.append(nxt)
-        combos = extended
-        if len(combos) > 128:
-            raise TooLarge("more than 128 omega resolutions")
-    return [build(ch) for ch in combos]
+    if prod(len(asgn) for _, asgn in circle_options) > 128:
+        raise TooLarge("more than 128 omega resolutions")
+    circles = [c for c, _ in circle_options]
+    return [build(dict(zip(circles, choice)))
+            for choice in product(*(asgn for _, asgn in circle_options))]
 
 
 def _factorizations(u_mask: int, v_mask: int, g_supports: list[list[int]]):
@@ -772,12 +766,8 @@ def omega_squares_commute(f: Morphism, g: Morphism, omega: Morphism) -> bool:
 
 def _blockwise(omega: Morphism, alpha: tuple[int, ...], beta: tuple[int, ...]) -> bool:
     """Omega factors as a tensor of per-block maps W^{alpha_j} -> W^{beta_j}."""
-    a_off = [0]
-    for m in alpha:
-        a_off.append(a_off[-1] + m)
-    b_off = [0]
-    for m in beta:
-        b_off.append(b_off[-1] + m)
+    a_off = list(accumulate(alpha, initial=0))
+    b_off = list(accumulate(beta, initial=0))
     for j in range(len(alpha)):
         block = ((1 << beta[j]) - 1) << b_off[j]
         for i in range(a_off[j], a_off[j + 1]):

@@ -53,6 +53,17 @@ def test_parse_object_errors():
         dsl.parse_object("(W")
     with pytest.raises(dsl.DslSyntaxError):
         dsl.parse_object("W) ")
+    # columns count characters, a tab among them, and restart after a newline
+    for text, where in [
+        ("W ^", (1, 4, "INT")),
+        ("W @\n\t^", (2, 2, "an object")),
+        ("(W\n@\tW", (2, 4, ")")),
+        ("W\t2W", (1, 3, "end of input")),
+        ("2X", (1, 2, "W")),
+    ]:
+        with pytest.raises(dsl.DslSyntaxError) as err:
+            dsl.parse_object(text)
+        assert (err.value.line, err.value.col, err.value.expected) == where, text
 
 
 def test_object_print_parse_round_trip():
@@ -102,6 +113,17 @@ def test_parse_morphism_syntax_errors():
     ]:
         with pytest.raises(dsl.DslSyntaxError):
             dsl.parse_morphism(bad)
+    for text, where in [
+        ("f : W -> W ;\n\tx |-> y y", (2, 10, None)),
+        ("f :\tW ->\n W ; x ->> y", (2, 10, None)),
+        ("f : W -> W\n\t; q5 |-> y", (2, 4, None)),
+        ("f : W -> W ;\n x |->\t+", (2, 8, "a monomial")),
+        ("f : W -> W ; x |-> y\n\t)", (2, 2, "';'")),
+        ("f : W -> W\t,", (1, 12, "';'")),
+    ]:
+        with pytest.raises(dsl.DslSyntaxError) as err:
+            dsl.parse_morphism(text)
+        assert (err.value.line, err.value.col, err.value.expected) == where, text
 
 
 def test_morphism_print_parse_round_trip():
@@ -169,8 +191,10 @@ def test_cli_validate_failure_exit_code(capsys):
 
 
 def test_cli_syntax_error_exit_code(capsys):
-    code, _, err = run_cli(capsys, "parse", "W^")
-    assert code == 1 and "syntax" in err
+    # a digit that is not decimal (int() refuses it) is a syntax error too
+    for text in ("W^", "W^²", "2²W", "f : W -> W ; x1 |-> ²y1"):
+        code, _, err = run_cli(capsys, "parse", text)
+        assert code == 1 and "syntax" in err, text
 
 
 def test_cli_too_large_exit_code(capsys):

@@ -486,6 +486,14 @@ def test_omega_ambiguous_tracings():
         assert vf._blockwise(om, ha.counts, ga.counts)
         # but the lift square is obstructed
         assert mor.compose(om, ha.lift()) != mor.compose(ga.lift(), f)
+    # the n-fold tensor has n such circles, each with two tracings: 2^n
+    # resolutions, refused past 128
+    def fold(m, n):
+        return functools.reduce(mor.tensor_mor, [m] * n)
+
+    assert len(vf.omega_witness(fold(f, 4), fold(g, 4), resolve="all")) == 16
+    with pytest.raises(vf.TooLarge, match="more than 128 omega resolutions"):
+        vf.omega_witness(fold(f, 8), fold(g, 8), resolve="all")
 
 
 def _sample_composable(rnd, max_vertices=3):
