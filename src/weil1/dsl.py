@@ -216,8 +216,8 @@ class _Parser:
 
     def _gen_index(self, tok: _Token, bound: int) -> int:
         name = tok.text
-        alpha = name.rstrip("0123456789")
-        digits = name[len(alpha):]
+        # the index is the trailing digits, by the tokenizer's own \d rule
+        alpha, digits = re.fullmatch(r"(.*?)(\d*)", name).groups()
         if not alpha.isalpha():
             raise DslSyntaxError(f"bad generator name {name!r}", tok.line, tok.col)
         idx = int(digits) if digits else 1

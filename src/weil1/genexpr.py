@@ -350,13 +350,10 @@ class SlotAssignment:
         self.slot_of = {slot: s for s, slot in enumerate(slots, start=1)}
         self.counts = tuple(counts)
 
-    def slot_cotree(self) -> Cotree:
-        return tensor(*[n_join(c) for c in self.counts])
-
     def lift(self) -> Morphism:
         """The lifted map into the slot tensor using every slot exactly once."""
         f = self.morphism
-        s_obj = algebra_of(self.slot_cotree(), f.rig)
+        s_obj = algebra_of(slot_cotree(self.counts), f.rig)
         images: list[dict[int, int]] = [dict() for _ in range(f.source.n)]
         for i, m, coeff in self.circles:
             new_mask = 0
@@ -367,6 +364,12 @@ class SlotAssignment:
                 mm ^= bit
             images[i - 1][new_mask] = coeff
         return Morphism(f.source, s_obj, tuple(poly_trusted(d) for d in images))
+
+
+@lru_cache(maxsize=None)
+def slot_cotree(counts: tuple[int, ...]) -> Cotree:
+    """The slot tensor of a ``SlotAssignment`` with these ``counts``."""
+    return tensor(*[n_join(c) for c in counts])
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +386,11 @@ class DecompositionTrace(namedtuple("DecompositionTrace", "steps")):
 
 
 # sub-maps repeat heavily across the maps of one hom-set, so untraced runs
-# share one memo; a traced run reads no memo, so every step is logged, also
-# a sub-map that comes up twice in one decomposition.  Every step below takes
-# ``steps``, the build log: None when untraced, a list when traced.
-_MEMO: dict[Morphism, GenExpr] = {}
+# share one memo, keyed by (source, target) and then by ``raw``, so that no
+# sub-map stays alive as a key; a traced run reads no memo, so every step is
+# logged, also a sub-map that comes up twice in one decomposition.  Every
+# step takes ``steps``, the build log: None when untraced, a list when traced.
+_MEMO: dict[tuple, dict[tuple, GenExpr]] = {}
 
 
 def decompose(f: Morphism) -> GenExpr:
@@ -416,9 +420,10 @@ def _memoised(step):
     def run(f: Morphism, steps: list | None) -> GenExpr:
         if steps is not None:
             return step(f, steps)
-        e = _MEMO.get(f)
+        memo = _MEMO.setdefault((f.source, f.target), {})
+        e = memo.get(f.raw)
         if e is None:
-            e = _MEMO[f] = step(f, None)
+            e = memo[f.raw] = step(f, None)
         return e
 
     return run
@@ -458,15 +463,19 @@ def _recombiner_expr(counts: tuple[int, ...]) -> GenExpr:
 
 @_memoised
 def _split_slots(f: Morphism, steps: list | None) -> GenExpr:
-    if all(p.kind != "join" for p in factors(f.target.cotree)):
+    if _split_data(f.target) is None:
         return _decompose_flat(f, steps)
     return _split_at_join(f, steps, "SplitCircles", _split_slots)
 
 
 @lru_cache(maxsize=None)
 def _split_data(target: "mor.WeilObject"):
+    """How the target splits at its first product factor; None for a flat
+    tensor, which has none."""
     facts = factors(target.cotree)
-    t = next(i for i, p in enumerate(facts, start=1) if p.kind == "join")
+    t = next((i for i, p in enumerate(facts, start=1) if p.kind == "join"), None)
+    if t is None:
+        return None
     prod = facts[t - 1]
     b1 = prod.parts[0]
     b2 = join(*prod.parts[1:])

@@ -291,11 +291,38 @@ def restriction_gen_map(f: Morphism) -> tuple[int, ...]:
     return tuple(table)
 
 
-def compose_restriction(gen_map: tuple[int, ...], target: WeilObject, f: Morphism) -> Morphism:
-    """Compose a restriction (given by its ``remap_mask`` table) after ``f``.
+class Splice(namedtuple("Splice", "at width")):
+    """A block splice, the shape of every map that ``pair_layout`` makes.  As
+    a restriction it kills the ``width`` generators from bit ``at`` on and
+    moves those above them down; its inverse, the matching embedding, opens
+    that block.  Both keep plain integer mask order."""
+
+    __slots__ = ()
+
+    def project(self, mask: int) -> int:
+        """The restriction's image of a monomial: 0 when it meets the block."""
+        at, w = self
+        low = (1 << at) - 1
+        return 0 if mask >> at & ((1 << w) - 1) else mask & low | mask >> w & ~low
+
+
+def compose_restriction(gen_map, target: WeilObject, f: Morphism) -> Morphism:
+    """Compose a restriction, a ``Splice`` or a ``remap_mask`` table, after ``f``.
 
     A monomial survives only when none of its generators are killed, and
-    distinct survivors stay distinct, so this is a plain mask remap."""
+    distinct survivors stay distinct, so this is a plain mask remap; a
+    splice keeps the mask order too, so its images need no sort."""
+    if isinstance(gen_map, Splice):
+        at, w = gen_map
+        low, block = (1 << at) - 1, ((1 << w) - 1) << at
+        images = []
+        for terms in f.raw:
+            kept = []
+            for m, c in terms:
+                if not m & block:
+                    kept.append((m & low | m >> w & ~low, c))
+            images.append(tuple(kept))
+        return Morphism(f.source, target, tuple(images))
     images = []
     for terms in f.raw:
         d: dict[int, int] = {}
@@ -330,29 +357,32 @@ def pair_into(
         raise TypeMismatch("pair needs a common source")
     if f1.rig is not f2.rig:
         raise TypeMismatch("pair requires matching rigs")
-    target, map1, map2, block1, block2, proj1, proj2 = pair_layout(
-        f1.target, f2.target, at, k1, k2)
+    target, proj1, proj2 = pair_layout(f1.target, f2.target, at, k1, k2)
+    # each side embeds by opening the block that its projection kills; f1's
+    # own block is its bits from at2 up to at1, and f2's the w1 bits from at2
+    (at1, w1), (at2, w2) = proj1, proj2
+    low1, low2 = (1 << at1) - 1, (1 << at2) - 1
+    block1, block2 = low1 ^ low2, ((1 << w1) - 1) << at2
     images = []
     for terms1, terms2 in zip(f1.raw, f2.raw):
-        acc: dict[int, int] = {}
-        ctx1: dict[int, int] = {}
-        for mask, c in terms1:
-            tmask = remap_mask(mask, map1)
-            if tmask & block1:
-                acc[tmask] = c
+        out, ctx1, ctx2 = [], [], []
+        for m, c in terms1:
+            t = (m & low1 | (m & ~low1) << w1, c)
+            out.append(t)
+            if not m & block1:
+                ctx1.append(t)
+        for m, c in terms2:
+            t = (m & low2 | (m & ~low2) << w2, c)
+            if m & block2:
+                out.append(t)
             else:
-                ctx1[tmask] = c
-                acc[tmask] = c
-        ctx2: dict[int, int] = {}
-        for mask, c in terms2:
-            tmask = remap_mask(mask, map2)
-            if tmask & block2:
-                acc[tmask] = c
-            else:
-                ctx2[tmask] = c
+                ctx2.append(t)
         if ctx1 != ctx2:
             raise TypeMismatch("pair components disagree over the shared context")
-        images.append(poly_trusted(acc))
+        if at:
+            out.sort()
+        # at 0, f1's generators all come first: the terms are already in order
+        images.append(tuple(out))
     u = Morphism(f1.source, target, tuple(images))
     if check:
         _check_relations(u)
@@ -364,13 +394,14 @@ def pair_into(
 
 @lru_cache(maxsize=None)
 def pair_layout(o1: WeilObject, o2: WeilObject, at: int, k1: int = 1, k2: int = 1):
-    """Target object, ``remap_mask`` tables embedding each target's generators,
-    the two block masks for pair_into, and the embeddings' inverses: the projections."""
+    """The pair target and the two ``Splice``s of its projections onto
+    ``o1`` and ``o2``: each kills the other side's block, and its inverse
+    embeds its own side."""
     t1, t2 = o1.cotree, o2.cotree
     if at == 0:
         # the plain product: blocks t1 and t2 with an empty context
         target = join(t1, t2)
-        np, nb1, nb2, ns = 0, leaves(t1), leaves(t2), 0
+        np, nb1, nb2 = 0, leaves(t1), leaves(t2)
     else:
         f1l = list(factors(t1))
         f2l = list(factors(t2))
@@ -385,34 +416,17 @@ def pair_layout(o1: WeilObject, o2: WeilObject, at: int, k1: int = 1, k2: int = 
         target = tensor(*prefix, join(b1, b2), *suffix)
         np = sum(leaves(p) for p in prefix)
         nb1, nb2 = leaves(b1), leaves(b2)
-        ns = sum(leaves(p) for p in suffix)
-    total = np + nb1 + nb2 + ns
-    map1 = tuple(1 << j for j in range(total) if not np + nb1 <= j < np + nb1 + nb2)
-    map2 = tuple(1 << j for j in range(total) if not np <= j < np + nb1)
-    proj1, proj2 = [0] * total, [0] * total
-    for proj, emb in ((proj1, map1), (proj2, map2)):
-        for i, bit in enumerate(emb):
-            proj[bit.bit_length() - 1] = 1 << i
-    block1 = ((1 << nb1) - 1) << np
-    block2 = ((1 << nb2) - 1) << (np + nb1)
-    return (algebra_of(target, o1.rig), map1, map2, block1, block2,
-            tuple(proj1), tuple(proj2))
+    return algebra_of(target, o1.rig), Splice(np + nb1, nb2), Splice(np, nb1)
 
 
-def pair_projections(
-    target: WeilObject,
-    at: int,
-    t1_obj: WeilObject,
-    t2_obj: WeilObject,
-    k1: int = 1,
-    k2: int = 1,
-) -> tuple[Morphism, Morphism]:
+def pair_projections(target: WeilObject, at: int, t1_obj: WeilObject, t2_obj: WeilObject,
+                     k1: int = 1, k2: int = 1) -> tuple[Morphism, Morphism]:
     """The two context projections out of a pair_into target."""
-    merged, _, _, _, _, proj1, proj2 = pair_layout(t1_obj, t2_obj, at, k1, k2)
+    merged, proj1, proj2 = pair_layout(t1_obj, t2_obj, at, k1, k2)
     if merged != target:
         raise TypeMismatch("projections requested for a mismatched pair target")
-    return tuple(Morphism(target, obj, tuple(((b, 1),) if b else () for b in proj))
-                 for obj, proj in ((t1_obj, proj1), (t2_obj, proj2)))
+    return (compose_restriction(proj1, t1_obj, identity(target)),
+            compose_restriction(proj2, t2_obj, identity(target)))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .cotree import (
 from .weilalg import WeilObject, algebra_of, dict_mul, poly_trusted
 from . import morphism as mor
 from .morphism import Morphism, RigMismatch, TypeMismatch
-from .genexpr import SlotAssignment, circles_of
+from .genexpr import SlotAssignment, circles_of, slot_cotree
 
 
 # enumerate_hom refuses, with TooLarge, more candidate assignments than this
@@ -79,9 +79,10 @@ def enumerate_hom(a: Cotree | WeilObject, b: Cotree | WeilObject) -> tuple[Morph
     """All morphisms a -> b over {0,1}, in canonical order.
 
     Per-generator candidates are the subsets of ind+(G_b) whose image squares
-    to zero (exactly the cliques); assignments are then filtered through the
-    source's relations with real polynomial products.  More than
-    ``HOM_ASSIGNMENTS`` candidate assignments raise TooLarge.
+    to zero (exactly the cliques); a generator then takes the candidates whose
+    real polynomial product with each earlier neighbour's choice is zero, read
+    from one bit row per candidate.  More than ``HOM_ASSIGNMENTS`` candidate
+    assignments raise TooLarge.
     """
     src = a if isinstance(a, WeilObject) else algebra_of(a, Rig.BOOL2)
     tgt = b if isinstance(b, WeilObject) else algebra_of(b, Rig.BOOL2)
@@ -95,26 +96,25 @@ def enumerate_hom(a: Cotree | WeilObject, b: Cotree | WeilObject) -> tuple[Morph
     out: list[Morphism] = []
     dicts = [dict(terms) for terms in cands]
     raws = [poly_trusted(d) for d in dicts]
+    # zero[c]: the candidates whose product with candidate c is zero
+    zero = [sum(1 << d for d, dd in enumerate(dicts) if not dict_mul(dc, dd, tgt))
+            for dc in dicts] if any(earlier) else None
     choice = [0] * n
 
     def rec(i: int):
         if i == n:
             out.append(Morphism(src, tgt, tuple(raws[c] for c in choice)))
             return
-        for c in range(len(cands)):
-            ok = True
-            for j in earlier[i]:
-                if dict_mul(dicts[choice[j]], dicts[c], tgt):
-                    ok = False
-                    break
-            if ok:
-                choice[i] = c
-                rec(i + 1)
+        allowed = (1 << len(cands)) - 1
+        for j in earlier[i]:
+            allowed &= zero[choice[j]]
+        while allowed:
+            low = allowed & -allowed
+            choice[i] = low.bit_length() - 1
+            rec(i + 1)
+            allowed ^= low
 
-    if n == 0:
-        out.append(Morphism(src, tgt, ()))
-    else:
-        rec(0)
+    rec(0)
     return tuple(out)
 
 
@@ -474,9 +474,9 @@ def check_foundational_pullback(
     morphism from an apex is one clique of ind+ per generator, two images
     multiply to zero exactly when their union is a clique, and the
     projections P -> Ti and the bases Ti -> B act through one vertex table
-    each: the projections' generator tables are ``morphism.pair_layout``'s,
-    and ``id (x) eps`` keeps B's generators, which come first in Ti, and
-    kills Ai's.  Over ``PULLBACK_IND_PLUS`` vertices of ind+(P), over
+    each: the projections are ``morphism.pair_layout``'s splices, and
+    ``id (x) eps`` is the splice that keeps B's generators, which come first
+    in Ti, and kills Ai's.  Over ``PULLBACK_IND_PLUS`` vertices of ind+(P), over
     ``IND_PLUS_GUARD`` of a leg's ind+ or over ``PULLBACK_CANDIDATES``
     cliques raise TooLarge, naming the square and the budget.
 
@@ -518,10 +518,9 @@ def check_foundational_pullback(
         at, k1, k2 = 0, 1, 1
     else:
         at, k1, k2 = len(factors(b)) + 1, len(factors(a1)), len(factors(a2))
-    p_obj, _, _, _, _, proj1, proj2 = mor.pair_layout(t1_obj, t2_obj, at, k1, k2)
+    p_obj, proj1, proj2 = mor.pair_layout(t1_obj, t2_obj, at, k1, k2)
     base_obj = algebra_of(b, rig)
-    base1, base2 = (tuple(1 << j if j < base_obj.n else 0 for j in range(t.n))
-                    for t in (t1_obj, t2_obj))
+    base1, base2 = (mor.Splice(base_obj.n, t.n - base_obj.n) for t in (t1_obj, t2_obj))
 
     def guarded(budget, build, *args):
         try:
@@ -619,12 +618,12 @@ def check_foundational_pullback(
     return AxiomReport(tuple(results))
 
 
-def _vertex_table(gen_map: tuple[int, ...], src: DerivedGraph, dst: DerivedGraph) -> tuple[int, ...]:
-    """A restriction with ``remap_mask`` table ``gen_map`` on ind+ vertices:
-    entry i is the bit of the vertex of ``dst`` (ind+ of its target) that it
-    sends vertex i+1 of ``src`` (ind+ of its source) to, or 0 if killed."""
+def _vertex_table(splice: mor.Splice, src: DerivedGraph, dst: DerivedGraph) -> tuple[int, ...]:
+    """A restriction ``splice`` on ind+ vertices: entry i is the bit of the
+    vertex of ``dst`` (ind+ of its target) that it sends vertex i+1 of
+    ``src`` (ind+ of its source) to, or 0 if killed."""
     bit_of = {m: 1 << i for i, m in enumerate(dst.labels)}
-    return tuple(bit_of.get(mor.remap_mask(m, gen_map), 0) for m in src.labels)
+    return tuple(bit_of.get(splice.project(m), 0) for m in src.labels)
 
 
 def _images(cands: list[int], table: tuple[int, ...]) -> list[int]:
@@ -686,8 +685,8 @@ def omega_witness(f: Morphism, g: Morphism, resolve: str = "strict"):
     ha = SlotAssignment(h)
     ga = SlotAssignment(g)
     g_supports = [[mask for mask, _ in p.terms] for p in g.images]
-    src = algebra_of(ha.slot_cotree(), Rig.BOOL2)
-    tgt = algebra_of(ga.slot_cotree(), Rig.BOOL2)
+    src = algebra_of(slot_cotree(ha.counts), Rig.BOOL2)
+    tgt = algebra_of(slot_cotree(ga.counts), Rig.BOOL2)
 
     # one tracing choice per circle of h; a choice fixes the image of every
     # slot generator carrying that circle at once
@@ -825,8 +824,8 @@ def gamma_witness(f: Morphism, g: Morphism) -> Morphism:
                 f"slot counts disagree: alpha_{l} = {ha.counts[l - 1]}"
                 f" but gamma_{i} = {fa.counts[i - 1]}"
             )
-    src = algebra_of(fa.slot_cotree(), Rig.BOOL2)
-    tgt = algebra_of(ha.slot_cotree(), Rig.BOOL2)
+    src = algebra_of(slot_cotree(fa.counts), Rig.BOOL2)
+    tgt = algebra_of(slot_cotree(ha.counts), Rig.BOOL2)
     images = []
     for a, v_mask, j in fa.slots:
         u_mask = 0

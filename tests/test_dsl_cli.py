@@ -197,6 +197,15 @@ def test_cli_syntax_error_exit_code(capsys):
         assert code == 1 and "syntax" in err, text
 
 
+def test_generator_index_reads_any_decimal_digit(capsys):
+    # the tokenizer reads ٢ (Arabic-Indic two) as a digit, and so does the
+    # generator index on either side of a clause
+    assert (dsl.parse_morphism("f : ٢W -> ٢W ; x٢ |-> y٢")
+            == dsl.parse_morphism("f : 2W -> 2W ; x2 |-> y2"))
+    code, _, err = run_cli(capsys, "parse", "f : ٢W -> W ; x٩ |-> y")
+    assert code == 1 and "out of range" in err
+
+
 def test_cli_too_large_exit_code(capsys):
     code, _, err = run_cli(capsys, "hom", "W", "6W")
     assert code == 4

@@ -139,11 +139,12 @@ def test_pair_into_context():
 
 
 def test_pair_into_incompatible():
-    # shared-context parts disagree: no pairing exists
+    # shared-context parts disagree: no pairing exists, also unchecked
     f1 = mor.validate(W, WW, [{0b01: 1}])   # x -> y1 (the context part)
     f2 = mor.validate(W, WW, [{}])
-    with pytest.raises(mor.TypeMismatch):
-        mor.pair_into(f1, f2, at=2)
+    for check in (True, False):
+        with pytest.raises(mor.TypeMismatch, match="shared context"):
+            mor.pair_into(f1, f2, at=2, check=check)
 
 
 def test_compose_restriction_matches_compose():
@@ -204,24 +205,65 @@ def _pair_layouts(max_vertices, rig):
                 yield o1, o2, shape, layout
 
 
+def _splice_tables(layout, o1, o2):
+    """Oracle: the ``remap_mask`` tables of a layout's four maps, from each
+    side's splice.  The embedding sends the side's generators, in order, to
+    the target bits outside the splice's block; the projection inverts it."""
+    target = layout[0]
+    out = []
+    for obj, splice in zip((o1, o2), layout[1:]):
+        kept = [j for j in range(target.n) if not splice.at <= j < splice.at + splice.width]
+        assert len(kept) == obj.n
+        proj = [0] * target.n
+        for i, j in enumerate(kept):
+            proj[j] = 1 << i
+        out.append((tuple(1 << j for j in kept), tuple(proj)))
+    return out
+
+
 @pytest.mark.parametrize("rig", [B2, NAT])
 def test_pair_layout_projection_tables_match_checked_restrictions(rig):
-    # each projection table is its embedding's inverse, as the checked
-    # restriction built from that embedding reads it back
+    # each splice's projection table is its embedding's inverse, as the
+    # checked restriction built from that embedding reads it back
     count = 0
     for o1, o2, (at, k1, k2), layout in _pair_layouts(5, rig):
-        target, map1, map2, _, _, proj1, proj2 = layout
+        target = layout[0]
+        tables = _splice_tables(layout, o1, o2)
         refs = []
-        for obj, emb, table in ((o1, map1, proj1), (o2, map2, proj2)):
+        for obj, (emb, table) in zip((o1, o2), tables):
             ref = _reference_restriction(
                 target, obj, {bit.bit_length(): i + 1 for i, bit in enumerate(emb)})
             assert mor.restriction_gen_map(ref) == table, (o1, o2, at, k1, k2)
             refs.append(ref)
         projs = mor.pair_projections(target, at, o1, o2, k1, k2)
         assert projs == tuple(refs), (o1, o2, at, k1, k2)
-        assert tuple(map(mor.restriction_gen_map, projs)) == (proj1, proj2)
+        assert tuple(map(mor.restriction_gen_map, projs)) == tuple(t for _, t in tables)
         count += 1
     assert count == 153
+
+
+@pytest.mark.parametrize("rig", [B2, NAT])
+def test_splices_remap_as_their_tables(rig):
+    # on every mask of the source, a projection splice remaps and composes
+    # as its table does, and pair_into embeds each side as its embedding
+    # table does, in plain integer mask order
+    w = wa.algebra_of(ct.W, rig)
+    for o1, o2, (at, k1, k2), layout in _pair_layouts(5, rig):
+        target = layout[0]
+        tables = _splice_tables(layout, o1, o2)
+        masks = range(1, 1 << target.n)
+        every = mor.Morphism(w, target, (tuple((m, 1) for m in masks),))
+        legs = []
+        for obj, splice, (_, table) in zip((o1, o2), layout[1:], tables):
+            assert [splice.project(m) for m in masks] == [mor.remap_mask(m, table) for m in masks]
+            leg = mor.compose_restriction(splice, obj, every)
+            assert leg == mor.compose_restriction(table, obj, every), (o1, o2, at, k1, k2)
+            legs.append(leg)
+        # every mask of each leg's target is the image of one of ``every``'s
+        assert [len(leg.raw[0]) for leg in legs] == [(1 << o.n) - 1 for o in (o1, o2)]
+        paired = mor.pair_into(*legs, at, k1, k2, check=False)
+        want = {mor.remap_mask(m, emb) for leg, (emb, _) in zip(legs, tables) for m, _ in leg.raw[0]}
+        assert paired.raw == (tuple((m, 1) for m in sorted(want)),), (o1, o2, at, k1, k2)
 
 
 @pytest.mark.parametrize("rig", [B2, NAT])

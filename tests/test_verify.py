@@ -43,6 +43,54 @@ def brute_force_hom(a, b):
     return set(out)
 
 
+def backtrack_hom(a, b):
+    """Oracle: backtracking over ``hom_candidates`` in candidate order, with
+    one ``dict_mul`` per (partial assignment, earlier neighbour, candidate)
+    and no table of products."""
+    cands = vf.hom_candidates(a, b)
+    earlier = [[] for _ in range(a.n)]
+    for u, v in a.graph.edges:
+        earlier[v - 1].append(u - 1)
+    dicts = [dict(terms) for terms in cands]
+    out, choice = [], [0] * a.n
+
+    def rec(i):
+        if i == a.n:
+            out.append(mor.Morphism(a, b, tuple(wa.poly_trusted(dicts[c]) for c in choice)))
+            return
+        for c in range(len(cands)):
+            if not any(wa.dict_mul(dicts[choice[j]], dicts[c], b) for j in earlier[i]):
+                choice[i] = c
+                rec(i + 1)
+
+    rec(0)
+    return tuple(out)
+
+
+# the 4-vertex pairs that the backtracking oracle checks: at most this many
+# candidate assignments, 92 of the 168 pairs within HOM_ASSIGNMENTS (all 168
+# hold 18.6 million morphisms)
+ORACLE_ASSIGNMENTS = 20_000
+
+
+def test_enumerate_hom_matches_backtracking_oracle():
+    # the same tuple, in the same order, for every pair up to 3 vertices and
+    # the 4-vertex pairs of at most ORACLE_ASSIGNMENTS candidate assignments
+    checked = 0
+    for a_t, b_t in itertools.product(vf.canonical_objects(4), repeat=2):
+        a, b = wa.algebra_of(a_t, B2), wa.algebra_of(b_t, B2)
+        if max(a.n, b.n) == 4:
+            try:
+                cands = vf.hom_candidates(a, b)
+            except vf.TooLarge:
+                continue
+            if len(cands) ** a.n > ORACLE_ASSIGNMENTS:
+                continue
+        assert vf.enumerate_hom(a, b) == backtrack_hom(a, b), (a_t, b_t)
+        checked += 1
+    assert checked == 64 + 92
+
+
 def test_enumerate_hom_w_to_2w_members():
     hom = vf.enumerate_hom(W, WW)
     rendered = {wa.format_poly(f.image(1)) for f in hom}
