@@ -25,9 +25,9 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .rig import Rig
-from .cograph import mask_key, vertices_of
+from .cograph import vertices_of
 from .cotree import Cotree, K, W, factors, format_cotree, join, leaves, n_join, n_tensor, tensor
-from .weilalg import algebra_of, poly_trusted
+from .weilalg import algebra_of, poly_trusted, size_lex
 from . import morphism as mor
 from .morphism import Morphism, TypeMismatch
 
@@ -315,12 +315,8 @@ def perm_network(perm: tuple[int, ...]) -> GenExpr | None:
 def circles_of(f: Morphism) -> list[tuple[int, int, int]]:
     """All circles of ``f`` as (source generator, support mask, coefficient),
     in the canonical order (generator index, then support)."""
-    out = []
-    for i, terms in enumerate(f.raw, start=1):
-        for mask, coeff in terms:
-            out.append((i, mask, coeff))
-    out.sort(key=lambda c: (c[0], mask_key(c[1])))
-    return out
+    return [(i, mask, coeff) for i, terms in enumerate(f.raw, start=1)
+            for mask, coeff in size_lex(terms)]
 
 
 class SlotAssignment:
@@ -420,7 +416,9 @@ def _memoised(step):
     def run(f: Morphism, steps: list | None) -> GenExpr:
         if steps is not None:
             return step(f, steps)
-        memo = _MEMO.setdefault((f.source, f.target), {})
+        memo = _MEMO.get((f.source, f.target))
+        if memo is None:
+            memo = _MEMO[f.source, f.target] = {}
         e = memo.get(f.raw)
         if e is None:
             e = memo[f.raw] = step(f, None)

@@ -33,6 +33,7 @@ from .weilalg import (
     dict_add_into,
     dict_mul,
     format_poly,
+    intern_image,
     poly,
     poly_trusted,
     size_lex,
@@ -181,7 +182,7 @@ def _check_relations(f: Morphism) -> None:
 # basic constructions
 
 def identity(obj: WeilObject) -> Morphism:
-    return Morphism(obj, obj, tuple(((1 << i, 1),) for i in range(obj.n)))
+    return Morphism(obj, obj, tuple(intern_image(((1 << i, 1),)) for i in range(obj.n)))
 
 
 def zero_map(source: WeilObject, target: WeilObject) -> Morphism:
@@ -321,7 +322,7 @@ def compose_restriction(gen_map, target: WeilObject, f: Morphism) -> Morphism:
             for m, c in terms:
                 if not m & block:
                     kept.append((m & low | m >> w & ~low, c))
-            images.append(tuple(kept))
+            images.append(intern_image(tuple(kept)))
         return Morphism(f.source, target, tuple(images))
     images = []
     for terms in f.raw:
@@ -382,7 +383,7 @@ def pair_into(
         if at:
             out.sort()
         # at 0, f1's generators all come first: the terms are already in order
-        images.append(tuple(out))
+        images.append(intern_image(tuple(out)))
     u = Morphism(f1.source, target, tuple(images))
     if check:
         _check_relations(u)

@@ -13,6 +13,13 @@ mask: ``poly_trusted`` makes it from a mask->coeff dict (the form
 The public ``Polynomial`` sorts its terms by size, then lexicographic
 members (``size_lex``), which is the order the printers show and ``terms``
 iterates.
+
+Internal images are hash-consed: ``intern_image`` returns the one stored
+tuple for an image value, and every image the kernel builds passes through
+it, so the morphisms and caches of a sweep share one tuple per distinct
+image (a few thousand) instead of holding hundreds of thousands of copies.
+Equality, hashing and order are unchanged; a fresh copy is freed by
+reference counting as soon as it is replaced.
 """
 
 from __future__ import annotations
@@ -143,11 +150,19 @@ def poly(ambient: WeilObject, terms=(), constant: int = 0) -> Polynomial:
     return Polynomial(ambient, constant, size_lex(checked_terms(ambient, terms).items()))
 
 
+_IMAGES: dict[tuple, tuple] = {}
+
+
+def intern_image(terms: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """The one stored tuple equal to the internal image ``terms``."""
+    return _IMAGES.setdefault(terms, terms)
+
+
 def poly_trusted(term_dict: dict[int, int]) -> tuple[tuple[int, int], ...]:
     """The internal normal form of a term dict produced inside the kernel
     (masks already reduced, coefficients already in the rig, none zero):
-    its ``(mask, coeff)`` pairs sorted by plain integer mask."""
-    return tuple(sorted(term_dict.items()))
+    its ``(mask, coeff)`` pairs sorted by plain integer mask, interned."""
+    return intern_image(tuple(sorted(term_dict.items())))
 
 
 def zero_poly(ambient: WeilObject) -> Polynomial:

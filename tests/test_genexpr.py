@@ -275,6 +275,28 @@ def test_nodes_are_interned():
     assert ge.decompose_with_trace(f)[0] is e
 
 
+def test_round_trip_caches_share_one_tuple_per_image():
+    # a fresh process, so that the caches hold exactly one hom-set's round trip
+    src = os.path.dirname(os.path.dirname(ge.__file__))
+    code = (
+        "from weil1 import cotree as ct, genexpr as ge\n"
+        "from weil1.rig import Rig\n"
+        "from weil1.verify import enumerate_hom\n"
+        "for f in enumerate_hom(ct.n_tensor(3), ct.join(ct.W, ct.n_tensor(2))):\n"
+        "    assert ge.evaluate(ge.decompose(f), Rig.BOOL2) == f\n"
+        "images = [t for c in ge._EVAL_CACHE.values() for f in c.values() for t in f.raw]\n"
+        "images += [t for memo in ge._MEMO.values() for raw in memo for t in raw]\n"
+        "print(len(images), len({id(t) for t in images}), len(set(images)))\n"
+    )
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    reached, objects, values = map(int, proc.stdout.split())
+    assert reached > 10 * values, proc.stdout
+    assert objects == values, f"{objects} image tuples hold {values} distinct images"
+
+
 def test_perm_network():
     rnd = random.Random(5)
     for r in range(2, 6):

@@ -442,3 +442,41 @@ def test_public_order_is_size_lex_on_every_route(rig):
         assert f.image(1).terms == want, route
         assert f.images == made.images, route
         assert f == made and hash(f) == hash(made), route
+
+
+def assert_interned(f, route):
+    # an equal copy interns to the stored tuple, so ``t`` must be that tuple
+    for t in f.raw:
+        assert wa.intern_image(tuple(list(t))) is t, route
+
+
+@pytest.mark.parametrize("rig", [B2, NAT])
+def test_images_are_interned_on_every_route(rig):
+    c = 1 if rig is B2 else 2
+    w, ww = wa.algebra_of(ct.W, rig), wa.algebra_of(ct.n_tensor(2), rig)
+    www = wa.algebra_of(ct.n_tensor(3), rig)
+    ctx = wa.algebra_of(ct.tensor(ct.W, ct.n_join(2)), rig)
+    made = mor.make(w, www, [{0b101: c}])
+    p1, _ = mor.pair_projections(ctx, 2, ww, ww)
+    both = mor.make(w, ww, [{0b11: c}])
+    lifted = ge.SlotAssignment(mor.make(ww, ww, [{0b01: c, 0b11: 1}, {0b10: 1}])).lift()
+    routes = {
+        "make from dict": made,
+        "make from Polynomial": mor.make(w, www, [made.image(1)]),
+        "compose": mor.compose(mor.identity(www), made),
+        "tensor_mor": mor.tensor_mor(made, made),
+        "compose_restriction, splice": p1,
+        "compose_restriction, table": mor.compose_restriction((0b01, 0, 0b10), ww, made),
+        "pair_into": mor.pair_into(both, both, at=2),
+        "identity": mor.identity(ctx),
+        "SlotAssignment.lift": lifted,
+    }
+    if rig is B2:
+        routes["enumerate_hom"] = enumerate_hom(ct.n_tensor(2), ct.n_join(2))[-1]
+    for route, f in routes.items():
+        assert any(f.raw), route
+        assert_interned(f, route)
+        twin = mor.Morphism(f.source, f.target, tuple(tuple(list(t)) for t in f.raw))
+        assert any(a is not b for a, b in zip(twin.raw, f.raw) if a), route
+        assert twin == f and hash(twin) == hash(f), route
+        assert twin.images == f.images and repr(twin) == repr(f), route
