@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("kappa", parents=[common], help="the kappa graph of an object")
-    p.add_argument("--format", choices=["text", "dot", "lines"], default="text")
+    p.add_argument("--format", choices=["text", "dot"], default="text")
     p.add_argument("input")
     p.set_defaults(func=cmd_kappa)
 

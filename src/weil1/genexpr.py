@@ -21,7 +21,6 @@ morphism.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 
 from .rig import Rig
@@ -371,88 +370,60 @@ def slot_cotree(counts: tuple[int, ...]) -> Cotree:
 # ---------------------------------------------------------------------------
 # the decomposition
 
-class DecompositionTrace(namedtuple("DecompositionTrace", "steps")):
-    """Ordered build log: ``steps`` holds ``(label, GenExpr)`` pairs, and the
-    last entry's expression is the final result."""
-
-    __slots__ = ()
-
-    def replay(self) -> GenExpr:
-        return self.steps[-1][1]
-
-
-# sub-maps repeat heavily across the maps of one hom-set, so untraced runs
-# share one memo, keyed by (source, target) and then by ``raw``, so that no
-# sub-map stays alive as a key; a traced run reads no memo, so every step is
-# logged, also a sub-map that comes up twice in one decomposition.  Every
-# step takes ``steps``, the build log: None when untraced, a list when traced.
+# sub-maps repeat heavily across the maps of one hom-set; the memo is keyed by
+# (source, target) and then by ``raw``, so that no sub-map stays alive as a key.
 _MEMO: dict[tuple, dict[tuple, GenExpr]] = {}
 
 
 def decompose(f: Morphism) -> GenExpr:
     """Canonical expression for ``f`` in the generating maps; round-trips
     through ``evaluate`` exactly."""
-    return _decompose(f, None)
-
-
-def decompose_with_trace(f: Morphism) -> tuple[GenExpr, DecompositionTrace]:
-    steps: list = []
-    e = _decompose(f, steps)
-    return e, DecompositionTrace(tuple(steps))
-
-
-def _record(steps: list | None, tag: str, expr: GenExpr) -> GenExpr:
-    if steps is not None:
-        steps.append((tag, expr))
-    return expr
+    return _decompose(f)
 
 
 def _memoised(step):
-    """Look a sub-map up in ``_MEMO``, when untraced, before decomposing it.
+    """Look a sub-map up in ``_MEMO`` before decomposing it.
 
     ``_split_slots`` and ``_decompose_flat`` agree on every map both accept
     (a flat target), so they share the memo."""
 
-    def run(f: Morphism, steps: list | None) -> GenExpr:
-        if steps is not None:
-            return step(f, steps)
+    def run(f: Morphism) -> GenExpr:
         memo = _MEMO.get((f.source, f.target))
         if memo is None:
             memo = _MEMO[f.source, f.target] = {}
         e = memo.get(f.raw)
         if e is None:
-            e = memo[f.raw] = step(f, None)
+            e = memo[f.raw] = step(f)
         return e
 
     return run
 
 
-def _decompose(f: Morphism, steps: list | None) -> GenExpr:
+def _decompose(f: Morphism) -> GenExpr:
     if f.target.cotree.kind == "K":
-        return _record(steps, "Projection", eps_expr(f.source.cotree))
+        return eps_expr(f.source.cotree)
     if f.source.cotree.kind == "K":
-        return _record(steps, "OneCircle", eta_expr(f.target.cotree))
+        return eta_expr(f.target.cotree)
     if any(f.target.graph.adjacency):
-        return _split_at_join(f, steps, "PullbackTarget", _decompose)
-    return _decompose_edgeless(f, steps)
+        return _split_at_join(f, _decompose)
+    return _decompose_edgeless(f)
 
 
-def _zero_map(f: Morphism, steps: list | None) -> GenExpr:
-    """The zero map: eta out of k, else eta after eps."""
-    if f.source.cotree.kind == "K":
-        return _record(steps, "OneCircle", eta_expr(f.target.cotree))
-    expr = Compose(eta_expr(f.target.cotree), eps_expr(f.source.cotree))
-    return _record(steps, "SplitCircles", expr)
+def _zero_map(f: Morphism) -> GenExpr:
+    """The zero map, eta after eps.  Its source is never k: ``_decompose``
+    answers a k source first, target splits keep the source, and
+    ``_decompose_flat`` sees that source or a part of a product or tensor."""
+    return Compose(eta_expr(f.target.cotree), eps_expr(f.source.cotree))
 
 
-def _decompose_edgeless(f: Morphism, steps: list | None) -> GenExpr:
+def _decompose_edgeless(f: Morphism) -> GenExpr:
     if f.is_zero_map():
-        return _zero_map(f, steps)
+        return _zero_map(f)
     assignment = SlotAssignment(f)
     lifted = assignment.lift()
     recomb = _recombiner_expr(assignment.counts)
-    inner = _split_slots(lifted, steps)
-    return _record(steps, "SplitGeneral", Compose(recomb, inner))
+    inner = _split_slots(lifted)
+    return Compose(recomb, inner)
 
 
 def _recombiner_expr(counts: tuple[int, ...]) -> GenExpr:
@@ -460,10 +431,10 @@ def _recombiner_expr(counts: tuple[int, ...]) -> GenExpr:
 
 
 @_memoised
-def _split_slots(f: Morphism, steps: list | None) -> GenExpr:
+def _split_slots(f: Morphism) -> GenExpr:
     if _split_data(f.target) is None:
-        return _decompose_flat(f, steps)
-    return _split_at_join(f, steps, "SplitCircles", _split_slots)
+        return _decompose_flat(f)
+    return _split_at_join(f, _split_slots)
 
 
 @lru_cache(maxsize=None)
@@ -491,19 +462,19 @@ def _split_data(target: "mor.WeilObject"):
     return at, k1, k2, t1_obj, t2_obj, gm1, gm2
 
 
-def _split_at_join(f: Morphism, steps: list | None, tag: str, recurse) -> GenExpr:
+def _split_at_join(f: Morphism, recurse) -> GenExpr:
     """Split the first product factor of the target through its pullback."""
     at, k1, k2, t1_obj, t2_obj, gm1, gm2 = _split_data(f.target)
-    e1 = recurse(mor.compose_restriction(gm1, t1_obj, f), steps)
-    e2 = recurse(mor.compose_restriction(gm2, t2_obj, f), steps)
-    return _record(steps, tag, Pair(e1, e2, at, k1, k2))
+    e1 = recurse(mor.compose_restriction(gm1, t1_obj, f))
+    e2 = recurse(mor.compose_restriction(gm2, t2_obj, f))
+    return Pair(e1, e2, at, k1, k2)
 
 
 @_memoised
-def _decompose_flat(f: Morphism, steps: list | None) -> GenExpr:
+def _decompose_flat(f: Morphism) -> GenExpr:
     """Decompose a map with pairwise disjoint circles into a flat tensor of W's."""
     if f.is_zero_map():
-        return _zero_map(f, steps)
+        return _zero_map(f)
     a = f.source.cotree
     if a.kind == "W":
         terms = f.raw[0]
@@ -513,14 +484,13 @@ def _decompose_flat(f: Morphism, steps: list | None) -> GenExpr:
         body = one_circle_expr(f.target.cotree, mask)
         if coeff > 1:
             body = Compose(body, Ghat(coeff))
-            return _record(steps, "Coefficient", body)
-        return _record(steps, "OneCircle", body)
+        return body
     if a.kind == "join":
-        return _project_source(f, steps)
-    return _tensor_split_source(f, steps)
+        return _project_source(f)
+    return _tensor_split_source(f)
 
 
-def _project_source(f: Morphism, steps: list | None) -> GenExpr:
+def _project_source(f: Morphism) -> GenExpr:
     """A disjoint-circle map out of a product lives in one factor."""
     a = f.source.cotree
     n1 = leaves(a.parts[0])
@@ -531,11 +501,11 @@ def _project_source(f: Morphism, steps: list | None) -> GenExpr:
     kept = a.parts[0] if side == 1 else join(*a.parts[1:])
     kept_obj = algebra_of(kept, f.rig)
     sub = Morphism(kept_obj, f.target, f.raw[:n1] if side == 1 else f.raw[n1:])
-    e = _decompose_flat(sub, steps)
-    return _record(steps, "Projection", Compose(e, Proj(a, side)))
+    e = _decompose_flat(sub)
+    return Compose(e, Proj(a, side))
 
 
-def _tensor_split_source(f: Morphism, steps: list | None) -> GenExpr:
+def _tensor_split_source(f: Morphism) -> GenExpr:
     """Split a disjoint-circle map along the source tensor, then restore the
     target generator order with a flip network."""
     a = f.source.cotree
@@ -550,15 +520,14 @@ def _tensor_split_source(f: Morphism, steps: list | None) -> GenExpr:
     unhit = vertices_of(((1 << f.target.n) - 1) & ~(hit1 | hitrest))
     f1 = _restrict(f, a1, f.raw[:n1], kept1)
     frest = _restrict(f, arest, f.raw[n1:], keptrest)
-    e1 = _decompose_flat(f1, steps)
-    erest = _decompose_flat(frest, steps)
+    e1 = _decompose_flat(f1)
+    erest = _decompose_flat(frest)
     if unhit:
         base = Tensor(e1, Tensor(erest, eta_expr(n_tensor(len(unhit)))))
     else:
         base = Tensor(e1, erest)
     net = perm_network(kept1 + keptrest + unhit)
-    expr = base if net is None else Compose(net, base)
-    return _record(steps, "NoIntersect", expr)
+    return base if net is None else Compose(net, base)
 
 
 def _hit_mask(raw) -> int:

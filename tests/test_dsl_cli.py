@@ -412,6 +412,12 @@ def test_cli_kappa_dot(capsys):
     assert out.startswith("graph {") and 'label="{{1}}"' in out
 
 
+def test_cli_kappa_refuses_a_format_it_does_not_print(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kappa", "--format", "lines", "W"])
+    assert exc.value.code == 2 and not capsys.readouterr().out
+
+
 def test_cli_cotree(capsys):
     code, out, _ = run_cli(capsys, "cotree", "3; 1-2 1-3")
     assert code == 0

@@ -180,58 +180,75 @@ def test_decompose_only_allowed_nodes_and_eps_tower_for_base_target():
     assert ge.evaluate(e, B2) == f
 
 
+def _nodes(e):
+    """The distinct nodes of the expression DAG rooted at ``e``."""
+    seen = {e}
+    todo = [e]
+    while todo:
+        x = todo.pop()
+        for attr in ("e1", "e2", "outer", "inner"):
+            child = getattr(x, attr, None)
+            if child is not None and child not in seen:
+                seen.add(child)
+                todo.append(child)
+    return seen
+
+
 def test_trace_replay():
     src = wa.algebra_of(ct.n_tensor(2), B2)
     tgt = wa.algebra_of(ct.n_join(2), B2)
     for f in enumerate_hom(src, tgt):
-        e, trace = ge.decompose_with_trace(f)
-        assert trace.replay() == e
-        assert e == ge.decompose(f)
-        tags = {tag for tag, _ in trace.steps}
-        assert tags <= {"OneCircle", "SplitCircles", "Projection", "NoIntersect",
-                        "SplitGeneral", "PullbackTarget", "Coefficient"}
-        for _, sub in trace.steps:
-            assert _contains(e, sub)
-
-
-def _contains(root, sub):
-    if root == sub:
-        return True
-    for attr in ("e1", "e2", "outer", "inner"):
-        child = getattr(root, attr, None)
-        if child is not None and _contains(child, sub):
-            return True
-    return False
+        e = ge.decompose(f)
+        assert ge.evaluate(e, B2) == f
+        nodes = _nodes(e)
+        assert {type(x) for x in nodes} <= {ge._Leaf, ge.Id, ge.Proj, ge.Tensor, ge.Compose, ge.Pair}
+        assert {x.name for x in nodes if isinstance(x, ge._Leaf)} <= {"eps", "eta", "plus", "l", "c"}
 
 
 def test_trace_records_coefficient_step():
     w_nat = wa.algebra_of(ct.W, NAT)
     f = mor.make(w_nat, w_nat, [{1: 2}])
-    _, trace = ge.decompose_with_trace(f)
-    assert any(tag == "Coefficient" for tag, _ in trace.steps)
+    e = ge.decompose(f)
+    assert ge.Ghat(2) in _nodes(e)
+    assert ge.evaluate(e, NAT) == f
 
 
 def test_trace_is_full_after_untraced_decompose():
-    # decompose memoises sub-maps; a later traced run must still log them
+    # the target splits at its product into W (x) W and W (x) W (x) W; each
+    # half lifts through the slot tensor and is recombined by plus towers
     w_nat = wa.algebra_of(ct.W, NAT)
     f = mor.make(w_nat, wa.algebra_of(ct.tensor(ct.W, ct.join(ct.W, ct.n_tensor(2))), NAT),
                  [{0b0011: 2, 0b1101: 3}])
-    e, first = ge.decompose_with_trace(f)
-    assert ge.decompose(f) == e
-    again, second = ge.decompose_with_trace(f)
-    assert again == e and second == first
-    tags = [tag for tag, _ in second.steps]
-    assert tags.count("Coefficient") == 2 and "SplitGeneral" in tags
+    e = ge.decompose(f)
+    assert {x for x in _nodes(e) if isinstance(x, ge.Ghat)} == {ge.Ghat(2), ge.Ghat(3)}
+    assert isinstance(e, ge.Pair) and (e.at, e.k1, e.k2) == (2, 1, 2)
+    for half, counts in ((e.e1, (1, 1)), (e.e2, (1, 1, 1))):
+        assert isinstance(half, ge.Compose) and half.outer is ge._recombiner_expr(counts)
+    assert ge.decompose(f) is e
+    assert ge.evaluate(e, NAT) == f
 
 
 def test_trace_logs_repeated_sub_map_each_time():
     # both tensor factors of the identity on W (x) W restrict to the same
-    # map W -> W; the trace logs its decomposition once per occurrence
+    # map W -> W, whose decomposition is one shared node
     f = mor.make(WW, WW, [{1: 1}, {2: 1}])
-    ge.decompose(f)
-    _, trace = ge.decompose_with_trace(f)
-    assert [tag for tag, _ in trace.steps] == ["OneCircle", "OneCircle", "NoIntersect", "SplitGeneral"]
-    assert ge.format_genexpr(trace.steps[0][1]) == "comp(id(W), id(W))"
+    e = ge.decompose(f)
+    assert ge.format_genexpr(e) == (
+        "comp(tensor(id(W), id(W)), tensor(comp(id(W), id(W)), comp(id(W), id(W))))")
+    assert e.inner.e1 is e.inner.e2 is ge.Compose(ge.Id(ct.W), ge.Id(ct.W))
+
+
+def test_decompose_reads_the_same_node_from_a_cold_memo():
+    # decompose every map with a warm memo, then each again, in reverse
+    # order, with the sub-map memo emptied first
+    src = wa.algebra_of(ct.n_tensor(2), B2)
+    maps = [f for tgt in (ct.n_join(2), ct.join(ct.W, ct.n_tensor(2)))
+            for f in enumerate_hom(src, wa.algebra_of(tgt, B2))]
+    assert len(maps) == 16 + 144
+    warm = [ge.decompose(f) for f in maps]
+    for f, e in reversed(list(zip(maps, warm))):
+        ge._MEMO.clear()
+        assert ge.decompose(f) is e
 
 
 def test_expand_ghat_keeps_pairat_block_sizes():
@@ -272,7 +289,6 @@ def test_nodes_are_interned():
     f = mor.validate(WW, wa.algebra_of(ct.n_tensor(3), B2), [{0b011: 1, 0b110: 1}, {0b001: 1}])
     e = ge.decompose(f)
     assert ge.decompose(f) is e
-    assert ge.decompose_with_trace(f)[0] is e
 
 
 def test_round_trip_caches_share_one_tuple_per_image():
