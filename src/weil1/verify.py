@@ -245,16 +245,9 @@ def _result(ident: str, ok: bool, detail: str = "") -> AxiomResult:
 # ---------------------------------------------------------------------------
 # the tangent-structure axioms for T = W tensor -
 
-def _w_pieces(rig: Rig):
-    w = algebra_of(W, rig)
-    gens = mor.generators(rig)
-    return w, gens
-
-
 def _component(tau: Morphism, obj: WeilObject) -> Morphism:
-    """Component of a transformation at an object, by tensoring on the right."""
-    if obj.cotree.kind == "K":
-        return tau
+    """Component of a transformation at an object, by tensoring on the right;
+    ``tensor`` absorbs K, so the component at K is ``tau`` itself."""
     return mor.tensor_mor(tau, mor.identity(obj))
 
 
@@ -278,8 +271,9 @@ def _id_times_plus(rig: Rig) -> Morphism:
 
 def check_tangent_axioms(max_vertices: int = 2) -> AxiomReport:
     """The additive-bundle, lift, flip and coherence equalities over both
-    rigs, plus naturality of every transformation on all enumerated small
-    morphisms."""
+    rigs, plus naturality of every transformation, checked on the maps out
+    of W and K into each object of at most ``max_vertices`` vertices (see
+    ``_naturality_checks``)."""
     results: list[AxiomResult] = []
     for rig in (Rig.BOOL2, Rig.NAT):
         results.extend(_core_axioms(rig))
@@ -288,7 +282,7 @@ def check_tangent_axioms(max_vertices: int = 2) -> AxiomReport:
 
 
 def _core_axioms(rig: Rig) -> list[AxiomResult]:
-    w, gens = _w_pieces(rig)
+    w, gens = algebra_of(W, rig), mor.generators(rig)
     eps_w, eta_w = gens["eps_W"], gens["eta_W"]
     plus_w, l_w, c_w = gens["plus_W"], gens["l_W"], gens["c_W"]
     idw = mor.identity(w)
@@ -360,50 +354,53 @@ def _core_axioms(rig: Rig) -> list[AxiomResult]:
     return out
 
 
+def _transformations() -> dict[str, Morphism]:
+    """The structure maps of T = W (x) - over {0,1}, by the names of their lines."""
+    gens = mor.generators(Rig.BOOL2)
+    return {"p": gens["eps_W"], "eta": gens["eta_W"], "plus": gens["plus_W"],
+            "l": gens["l_W"], "c": gens["c_W"]}
+
+
+def _square_commutes(tau: Morphism, f: Morphism) -> bool:
+    """The naturality square of ``tau`` at ``f : A -> B``:
+    (T' (x) f) . (tau (x) A) == (tau (x) B) . (S (x) f) for tau : S -> T'."""
+    lhs = mor.compose(_functor_image(tau.target.cotree, f), _component(tau, f.source))
+    rhs = mor.compose(_component(tau, f.target), _functor_image(tau.source.cotree, f))
+    return lhs == rhs
+
+
 def _naturality_checks(max_vertices: int) -> list[AxiomResult]:
-    rig = Rig.BOOL2
-    _, gens = _w_pieces(rig)
-    transformations = {
-        "p": gens["eps_W"],
-        "eta": gens["eta_W"],
-        "plus": gens["plus_W"],
-        "l": gens["l_W"],
-        "c": gens["c_W"],
-    }
-    objs = [algebra_of(t, rig) for t in canonical_objects(max_vertices)]
-    # every hom-set of the sweep fits its budget, or the first one in sweep
-    # order that does not is refused now rather than after the ones before it
-    for a in objs:
-        for b in objs:
-            hom_candidates(a, b)
+    """Naturality of every transformation, on every map W -> B and the one
+    map K -> B, for each object B of at most ``max_vertices`` vertices.
+
+    This decides naturality on every hom-set between those objects.  Take
+    tau : S -> T' and f : A -> B.  On the left of the square, tau (x) A
+    sends an S-generator s to tau(s) and an A-generator a to a, shifted past
+    T'; then T' (x) f fixes tau(s) and sends a to f(a), shifted past T'.  On
+    the right, S (x) f fixes s and sends a to f(a), shifted past S; then
+    tau (x) B sends s to tau(s) and f(a) to f(a), shifted past T'.
+    ``compose`` builds each image of its result from one image of the inner
+    map, so on both sides s goes to an image that depends on B alone, and a
+    to one that depends on B and f(a) alone.  Hence the square fails at some
+    f exactly when it fails at a map into B that agrees with f on one
+    generator: the map K -> B, whose square has only the S-generators, or
+    the map W -> B that sends its generator to f(a).  Over {0,1} that map
+    exists: f(a) is a vertex of kappa(B), and a map out of W may send its
+    generator to any of them.
+    """
+    objs = [algebra_of(t, Rig.BOOL2) for t in canonical_objects(max_vertices)]
+    sources = [algebra_of(t, Rig.BOOL2) for t in (K, W)]
+    maps = [f for b in objs for a in sources for f in enumerate_hom(a, b)]
     out = []
-    for tau_name, tau in transformations.items():
-        bad = None
-        checked = 0
-        for a in objs:
-            for b in objs:
-                for f in enumerate_hom(a, b):
-                    src_fun = _functor_image(tau.source.cotree, f)
-                    tgt_fun = _functor_image(tau.target.cotree, f)
-                    lhs = mor.compose(tgt_fun, _component(tau, a))
-                    rhs = mor.compose(_component(tau, b), src_fun)
-                    checked += 1
-                    if lhs != rhs:
-                        bad = f
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        out.append(_result(f"naturality.{tau_name}(n={checked})", bad is None,
-                           f"fails at {bad!r}"))
+    for name, tau in _transformations().items():
+        bad = next((f for f in maps if not _square_commutes(tau, f)), None)
+        out.append(_result(f"naturality.{name}(n={len(maps)})", bad is None, f"fails at {bad!r}"))
     return out
 
 
 def _functor_image(shape: Cotree, f: Morphism) -> Morphism:
-    """Image of f under the functor (shape tensor -), e.g. W(x)f or W^2(x)f."""
-    if shape.kind == "K":
-        return f
+    """Image of f under the functor (shape tensor -), e.g. W(x)f or W^2(x)f;
+    ``tensor`` absorbs K, so the image under K (x) - is f itself."""
     return mor.tensor_mor(mor.identity(algebra_of(shape, f.rig)), f)
 
 
@@ -422,7 +419,7 @@ def check_equalizer() -> AxiomReport:
     cone from an object of at most ``EQUALIZER_VERTICES`` vertices factors
     through it exactly once."""
     rig = Rig.BOOL2
-    w, gens = _w_pieces(rig)
+    w, gens = algebra_of(W, rig), mor.generators(rig)
     idw = mor.identity(w)
     v = vertical_lift_equalizer_map(rig)
     # both arrows send each generator to one generator or to 0 (their tables
@@ -433,8 +430,7 @@ def check_equalizer() -> AxiomReport:
     lhs_v = mor.compose_restriction(lhs, w, v)
     rhs_v = mor.compose_restriction(rhs, w, v)
     results = [_result("equalizer.v_equalizes", lhs_v == rhs_v, f"{lhs_v!r} vs {rhs_v!r}")]
-    w2 = v.source
-    ww = v.target
+    w2, ww = v.source, v.target
     for t in canonical_objects(EQUALIZER_VERTICES):
         a = algebra_of(t, rig)
         cones = 0
@@ -869,9 +865,10 @@ def check_nat_fullness(f: Morphism) -> bool:
 # aggregate runner
 
 def run_verify(max_vertices: int = 2) -> AxiomReport:
-    """The full machine-checkable suite: tangent axioms, naturality sweeps,
-    the vertical-lift equaliser, and the foundational pullbacks (including
-    preservation under one and two applications of the tangent functor)."""
+    """The full machine-checkable suite: tangent axioms, naturality on the
+    maps out of W and K, the vertical-lift equaliser, the foundational
+    pullbacks (including preservation under one and two applications of the
+    tangent functor) and the Kleisli counts on every pair of objects."""
     return AxiomReport(tuple(iter_verify(max_vertices)))
 
 
@@ -879,17 +876,21 @@ def iter_verify(max_vertices: int = 2):
     """The results of ``run_verify``, in its order, each yielded as soon as
     the check that makes it ends: the tangent axioms and the equaliser as
     whole suites, then each pullback square, each preservation re-check and
-    each Kleisli count."""
+    each Kleisli count.
+
+    The Kleisli counts enumerate every hom-set between the objects, so each
+    pair is held to ``enumerate_hom``'s budget before anything runs: the
+    first pair over it is refused at once, not after the checks before it."""
+    objs = canonical_objects(max_vertices)
+    algebras = [algebra_of(t, Rig.BOOL2) for t in objs]
+    for a, b in product(algebras, repeat=2):
+        hom_candidates(a, b)
     yield from check_tangent_axioms(max_vertices).results
     yield from check_equalizer().results
-    objs = canonical_objects(max_vertices)
     pullbacks: dict[tuple[Cotree, Cotree, Cotree], AxiomReport] = {}
-    for b in objs:
-        for a1 in objs:
-            for a2 in objs:
-                rep = pullbacks[b, a1, a2] = check_foundational_pullback(
-                    b, a1, a2, apex_max=max_vertices)
-                yield from rep.results
+    for b, a1, a2 in product(objs, repeat=3):
+        rep = pullbacks[b, a1, a2] = check_foundational_pullback(b, a1, a2, apex_max=max_vertices)
+        yield from rep.results
     for m in (1, 2):
         rep = pullbacks.get((n_tensor(m), W, W))
         if rep is None:
@@ -897,9 +898,8 @@ def iter_verify(max_vertices: int = 2):
         yield _result(f"tangent.Tm_preserves_pullback[m={m}]", rep.all_passed,
                       "; ".join(r.ident for r in rep.failures()))
     # kappa bijection spot check
-    for a in objs:
-        for b in objs:
-            lhs = len(enumerate_hom(a, b))
-            rhs = count_graph_maps(a, b)
-            yield _result(f"kleisli.bijection[{format_cotree(a)},{format_cotree(b)}]",
-                          lhs == rhs, f"{lhs} morphisms vs {rhs} graph maps")
+    for a, b in product(objs, repeat=2):
+        lhs = len(enumerate_hom(a, b))
+        rhs = count_graph_maps(a, b)
+        yield _result(f"kleisli.bijection[{format_cotree(a)},{format_cotree(b)}]",
+                      lhs == rhs, f"{lhs} morphisms vs {rhs} graph maps")

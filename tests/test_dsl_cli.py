@@ -258,9 +258,9 @@ def test_cli_loads_only_the_modules_its_command_reads():
 
 
 def test_cli_verify_refuses_an_over_budget_sweep_at_once():
-    # the naturality sweep of the 4-vertex objects reaches a hom-set of 1376^3
-    # assignments; every pair is checked against the budget before the sweep
-    # starts, so the refusal comes at once instead of after the pairs before it
+    # the Kleisli counts of the 4-vertex objects reach a hom-set of 1376^3
+    # assignments; every pair is checked against the budget before any check
+    # starts, so the refusal comes at once instead of after the checks before it
     proc = run_cli_process("verify", "--max-vertices", "4", timeout=5)
     assert proc.returncode == 4 and proc.stdout == ""
     assert "too large:" in proc.stderr and "verify.HOM_ASSIGNMENTS" in proc.stderr
@@ -487,7 +487,7 @@ def test_cli_verify_default_run():
     assert proc.returncode == 0, err
     assert streamed and first.startswith(b"AXIOM ")
     assert hashlib.sha256(first + rest).hexdigest() == (
-        "ffb605dae9b07c3d48fb9b97f7887a9bfffad1e08636b5de0b076ef3e5e2f219")
+        "b214f4a4a5f59872e62c372d3253ba29955cf9af47ab200ea6971172e6fe17e7")
     assert elapsed < 60.0, f"weil1 verify took {elapsed:.1f}s of its 60s budget"
 
 

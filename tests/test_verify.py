@@ -195,6 +195,60 @@ def test_axiom_report_formats():
     assert "checks passed" in report.format_text()
 
 
+def full_naturality_sweep(max_vertices):
+    """Oracle: every transformation's naturality square at every map of
+    every hom-set between the objects of at most ``max_vertices`` vertices.
+    Returns the number of maps and, per transformation, the first map whose
+    square fails, or None."""
+    objs = [wa.algebra_of(t, B2) for t in vf.canonical_objects(max_vertices)]
+    maps = [f for a, b in itertools.product(objs, repeat=2) for f in vf.enumerate_hom(a, b)]
+    return len(maps), {name: next((f for f in maps if not vf._square_commutes(tau, f)), None)
+                       for name, tau in vf._transformations().items()}
+
+
+def test_full_naturality_sweep_passes():
+    n, bad = full_naturality_sweep(2)
+    assert n == 123
+    assert bad == dict.fromkeys(("p", "eta", "plus", "l", "c")), bad
+
+
+def test_naturality_checks_the_maps_out_of_w_and_k():
+    # one square per map W -> B, a vertex of kappa(B), and one for K -> B
+    for n, total in zip(range(1, 5), (5, 17, 101, 2395)):
+        report = vf.check_tangent_axioms(n)
+        assert report.all_passed, report.failures()
+        objs = vf.canonical_objects(n)
+        assert sum(len(cg.kappa_labels(ct.realize(b))) + 1 for b in objs) == total
+        assert [r.ident for r in report.results if r.ident.startswith("naturality.")] == [
+            f"naturality.{name}(n={total})" for name in ("p", "eta", "plus", "l", "c")]
+
+
+@pytest.mark.parametrize("shape", [ct.n_join(2), ct.n_tensor(2)], ids=["W^2", "2W"])
+@pytest.mark.parametrize("block", ["S", "A"])
+def test_a_wrong_component_fails_both_naturality_checks(monkeypatch, shape, block):
+    # the component at one object loses the image of one generator: the
+    # first generator of the transformation's source S, or the first of the
+    # object's own.  plus, l and c send their first generator to a non-zero
+    # image, so either loss changes their components, and the full sweep
+    # and the reduced check must both see it
+    caught = ("plus", "l", "c")
+    component = vf._component
+
+    def mutant(tau, obj):
+        comp = component(tau, obj)
+        if obj.cotree != shape:
+            return comp
+        raw = list(comp.raw)
+        raw[0 if block == "S" else tau.source.n] = wa.poly_trusted({})
+        return mor.Morphism(comp.source, comp.target, tuple(raw))
+
+    monkeypatch.setattr(vf, "_component", mutant)
+    _, bad = full_naturality_sweep(2)
+    assert all(bad[name] is not None for name in caught), bad
+    failed = {r.ident.split("(")[0] for r in vf._naturality_checks(2) if not r.passed}
+    assert failed >= {f"naturality.{name}" for name in caught}, failed
+
+
 def test_equalizer_map_is_the_stated_one():
     v = vf.vertical_lift_equalizer_map()
     assert v.image(1) == wa.poly(WW, {0b11: 1})
