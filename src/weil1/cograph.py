@@ -31,36 +31,48 @@ class NotACograph(ValueError):
         self.witness = witness
 
 
-class Frozen:
-    """Base of the immutable value classes, which compare and hash by value.
+# every hash-consed object ever built, values and decomposition expressions
+# alike, keyed by its class name and fields.  The table keeps every object
+# alive, so no id is ever reused and a key may take a child by id: the lookup
+# is then one flat tuple hash however deep the object is, and a key holding
+# no object is left alone by the cycle collector, which would otherwise
+# rescan one key tuple per expression node on every full collection.
+_INTERNED: dict[tuple, object] = {}
 
-    ``_fields`` names the ``__init__`` arguments.  ``__init__`` sets each
-    field through ``object.__setattr__`` and keeps their tuple as ``_key``,
-    with its hash computed once; equality is equality of ``_key`` between
-    values of the same class.  Once built, assigning or deleting an
-    attribute raises AttributeError.  Copy and pickle rebuild a value by
-    calling ``__init__`` with ``_key``, which also recomputes the hash in the
-    new process."""
+
+def intern(cls, key: tuple, fields: tuple):
+    """The one stored object for ``key``, made on first request as a ``cls``
+    whose ``_fields`` hold ``fields``."""
+    obj = _INTERNED.get(key)
+    if obj is None:
+        obj = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            object.__setattr__(obj, name, value)
+        _INTERNED[key] = obj
+    return obj
+
+
+class Frozen:
+    """Base of the immutable value classes, which are hash-consed.
+
+    ``_fields`` names the constructor arguments.  The constructor looks the
+    class name and field values up in one intern table and returns the
+    stored object, so equal values are one object, and equality and hashing
+    are the identity defaults: one pointer test however deep the value.
+    Once built, assigning or deleting an attribute raises AttributeError.
+    Copy and pickle rebuild a value through the constructor, so they return
+    the interned object, in a new process too."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init__(self, *values):
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_key", values)
-        object.__setattr__(self, "_hash", hash(values))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, *values):
+        if len(values) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields")
+        return intern(cls, (cls.__name__, *values), values)
 
     def __reduce__(self):
-        return type(self), self._key
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
@@ -75,13 +87,13 @@ class Graph(Frozen):
 
     The masks are trusted (symmetric, no loops): the builders below keep
     them so, and ``graph`` is the checked constructor for outside input.
-    Two graphs are equal when their masks are."""
+    Two graphs are one object when their masks are equal."""
 
     _fields = ("adjacency",)
 
-    def __init__(self, adjacency: tuple[int, ...]):
-        super().__init__(adjacency)
-        object.__setattr__(self, "n", len(adjacency))
+    @cached_property
+    def n(self) -> int:
+        return len(self.adjacency)
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:

@@ -9,8 +9,9 @@ kept in a strict normal form:
 * tensor/join nodes are flattened, so no tensor node has a tensor child and
   no join node has a join child.
 
-Normalisation makes object equality plain structural equality while keeping
-generator order: the W leaves, read left to right, are the generators 1..n.
+Normalisation gives each object one tree, and trees are hash-consed, so
+object equality is identity.  Generator order is kept: the W leaves, read
+left to right, are the generators 1..n.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ VERTEX_BUDGET = 128
 
 class Cotree(Frozen):
     """Normalised expression tree over {K, W, tensor, join}; two trees are
-    equal when their kinds and parts are."""
+    one object when their kinds and parts are equal."""
 
-    __slots__ = ("kind", "parts", "_key", "_hash")
-    _fields = ("kind", "parts")
+    __slots__ = _fields = ("kind", "parts")
 
-    def __init__(self, kind: str, parts: tuple[Cotree, ...] = ()):
-        super().__init__(kind, parts)  # kind is "K" | "W" | "tensor" | "join"
+    def __new__(cls, kind: str, parts: tuple[Cotree, ...] = ()):
+        return super().__new__(cls, kind, parts)  # kind is "K" | "W" | "tensor" | "join"
 
     def __repr__(self) -> str:
         return f"Cotree({format_cotree(self)!r})"

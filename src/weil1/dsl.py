@@ -63,8 +63,8 @@ HEADS = {
 # before the leaves are built: W^1000000 still parses (in under a second),
 # W^999999999 would exhaust memory
 LEAF_BUDGET = 1_000_000
-# most parentheses one input may hold open at once: the parser, the printers and
-# cotree equality recurse per level, and past about 120 exhaust the stack
+# most parentheses one input may hold open at once: the parser and the printers
+# recurse per level, and past about 120 exhaust the stack
 NESTING_BUDGET = 100
 
 # one token per match, tried in order: symbols (longest first), an integer

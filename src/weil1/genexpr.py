@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .rig import Rig
-from .cograph import vertices_of
+from .cograph import Frozen, intern, vertices_of
 from .cotree import Cotree, K, W, factors, format_cotree, join, leaves, n_join, n_tensor, tensor
 from .weilalg import algebra_of, poly_trusted, size_lex
 from . import morphism as mor
@@ -40,43 +40,18 @@ class IllTyped(ValueError):
         super().__init__(f"{reason} at {format_genexpr(location)}")
 
 
-class GenExpr:
+class GenExpr(Frozen):
     """Base class for decomposition expressions.
 
-    Nodes are hash-consed: building a node whose class and fields match an
-    existing one returns that node, so equal expressions are one object,
-    equality and hashing are identity, and a shared subterm is stored once.
-    Nodes must not be mutated after construction."""
+    Nodes are hash-consed like the other ``cograph.Frozen`` values: equal
+    expressions are one object, equality and hashing are identity, and a
+    shared subterm is stored once.  A node without child expressions is
+    keyed by its fields; the nodes with children key them by id."""
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __new__(cls, *fields):
-        """A node without child expressions: its fields are its key."""
-        if len(fields) != len(cls._fields):
-            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields")
-        return _intern(cls, (cls.__name__, *fields), fields)
 
     def __repr__(self) -> str:
         return f"GenExpr({format_genexpr(self)})"
-
-
-# every node ever built, keyed by its class name and fields, with child
-# expressions taken by id: a lookup costs one flat tuple hash however deep the
-# node is, and since the table keeps every node alive no id is ever reused.
-# A key holding no node is left alone by the cycle collector, which would
-# otherwise rescan one key tuple per node on every full collection.
-_NODES: dict[tuple, GenExpr] = {}
-
-
-def _intern(cls, key: tuple, fields: tuple) -> GenExpr:
-    node = _NODES.get(key)
-    if node is None:
-        node = object.__new__(cls)
-        for name, value in zip(cls._fields, fields):
-            object.__setattr__(node, name, value)
-        _NODES[key] = node
-    return node
 
 
 class _Leaf(GenExpr):
@@ -102,7 +77,7 @@ class Ghat(GenExpr):
     def __new__(cls, r: int):
         if r < 0:
             raise ValueError("ghat needs a natural number")
-        return _intern(cls, ("Ghat", r), (r,))
+        return super().__new__(cls, r)
 
 
 class Proj(GenExpr):
@@ -115,7 +90,7 @@ class _Binary(GenExpr):
     __slots__ = ()
 
     def __new__(cls, a: GenExpr, b: GenExpr):
-        return _intern(cls, (cls.__name__, id(a), id(b)), (a, b))
+        return intern(cls, (cls.__name__, id(a), id(b)), (a, b))
 
 
 class Tensor(_Binary):
@@ -135,7 +110,7 @@ class Pair(GenExpr):
     __slots__ = _fields = ("e1", "e2", "at", "k1", "k2")
 
     def __new__(cls, e1: GenExpr, e2: GenExpr, at: int = 0, k1: int = 1, k2: int = 1):
-        return _intern(cls, ("Pair", id(e1), id(e2), at, k1, k2), (e1, e2, at, k1, k2))
+        return intern(cls, ("Pair", id(e1), id(e2), at, k1, k2), (e1, e2, at, k1, k2))
 
 
 # ---------------------------------------------------------------------------

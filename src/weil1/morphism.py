@@ -76,11 +76,12 @@ class Morphism:
     morphism from outside input with ``make``.  Morphisms must not be
     mutated after construction.
 
-    Unlike the value classes, a morphism does not take its equality and
-    hash from ``cograph.Frozen``: the kernel builds hundreds of thousands
-    of morphisms per sweep and hashes few, so the hash waits for first use.
-    Built through ``Frozen``'s constructor, which hashes at once, a slice
-    of the criterion-3 round trip took about a third more CPU time.
+    Unlike the value classes, a morphism is not hash-consed through
+    ``cograph.Frozen``: the kernel builds hundreds of thousands of
+    morphisms per sweep and hashes few, so it compares by value and its
+    hash waits for first use.  Built through a constructor that hashed at
+    once, a slice of the criterion-3 round trip took about a third more
+    CPU time, and an intern table would also keep every morphism alive.
     """
 
     __slots__ = ("source", "target", "raw", "_hash", "_images")

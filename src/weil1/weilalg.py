@@ -24,7 +24,7 @@ reference counting as soon as it is replaced.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import rig as rig_mod
 from .rig import Rig
@@ -50,9 +50,10 @@ class WeilObject(Frozen):
         return f"WeilObject({format_cotree(self.cotree)}, {self.rig})"
 
 
-@lru_cache(maxsize=None)
 def algebra_of(t: Cotree, rig: Rig = Rig.BOOL2) -> WeilObject:
-    """The algebra presented by cotree ``t``: K is the rig itself, W is k[x]/x^2."""
+    """The algebra presented by cotree ``t``: K is the rig itself, W is
+    k[x]/x^2.  The one interned ``WeilObject`` for the pair, so the graph
+    it realises is built once."""
     return WeilObject(t, rig)
 
 
@@ -101,8 +102,7 @@ class Polynomial(Frozen):
     sorted by size, then lexicographic members (``mask_key``), so term
     indices and printed text follow that order."""
 
-    __slots__ = ("ambient", "constant", "terms", "_key", "_hash")
-    _fields = ("ambient", "constant", "terms")
+    __slots__ = _fields = ("ambient", "constant", "terms")
 
     def is_zero(self) -> bool:
         return self.constant == 0 and not self.terms

@@ -320,6 +320,21 @@ def test_cotree_normalisation():
     assert ct.tensor(ct.tensor(ct.W, ct.W), ct.W) == ct.tensor(ct.W, ct.tensor(ct.W, ct.W))
     assert ct.join(ct.n_join(2), ct.W) == ct.n_join(3)
     assert ct.tensor() == ct.K and ct.join() == ct.K
+    assert ct.Cotree("W") is ct.Cotree("W", ()) is ct.W
+
+
+def test_deep_cotree_is_one_object():
+    # a threshold cotree of 1,000 leaves nests 999 levels deep; equal trees
+    # built twice must be one object, so comparing and hashing never recurse
+    def threshold(n):
+        t = ct.W
+        for i in range(1, n):
+            t = (ct.join if i % 2 else ct.tensor)(ct.W, t)
+        return t
+
+    a, b = threshold(1000), threshold(1000)
+    assert a is b and a == b and {a: 1}[b] == 1
+    assert a is not threshold(999)
 
 
 def test_realize_table():

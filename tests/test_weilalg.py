@@ -1,7 +1,10 @@
 import copy
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -260,8 +263,9 @@ def test_format_poly():
 
 
 # ---------------------------------------------------------------------------
-# the value classes: immutable, hashed by value, printed as they always were,
-# and copied or pickled to equal values
+# the value classes: immutable, printed as they always were, and hash-consed,
+# so an equal value built separately, a copy and an unpickled value are the
+# same object; the named-tuple records compare by value
 
 def value_pairs():
     """(value, an equal value built separately, its repr, a field name)."""
@@ -285,17 +289,38 @@ def value_pairs():
 
 def test_value_classes_are_immutable_values():
     for value, twin, text, field in value_pairs():
-        assert value is not twin and value == twin and not value != twin, text
-        assert hash(value) == hash(twin), text
-        assert hash(value) == hash(tuple(getattr(value, f) for f in type(value)._fields)), text
+        copies = (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)))
+        if isinstance(value, cg.Frozen):
+            assert twin is value and all(c is value for c in copies), text
+        else:
+            assert value is not twin and value == twin and not value != twin, text
+            assert hash(value) == hash(twin), text
+            assert all(c == value and hash(c) == hash(value) for c in copies), text
         assert repr(value) == text
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(twin, field))
         with pytest.raises(AttributeError):
             delattr(value, field)
-        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-            assert copied == value and hash(copied) == hash(value), text
     g = cg.graph(2, [(1, 2)])
     assert g != cg.graph(2) and g != g.adjacency
     assert ct.W != ct.K and wa.WeilObject(ct.W, B2) != wa.WeilObject(ct.W, NAT)
     assert vf.AxiomResult("a", True).detail == ""
+
+
+def test_pickled_values_load_as_the_interned_values_of_a_fresh_process():
+    o = wa.algebra_of(ct.join(ct.W, ct.n_tensor(2)), NAT)
+    p = wa.poly(o, {0b001: 1, 0b110: 2}, constant=1)
+    code = (
+        "import pickle, sys\n"
+        "from weil1 import cotree as ct, weilalg as wa\n"
+        "from weil1.rig import Rig\n"
+        "o = wa.algebra_of(ct.join(ct.W, ct.n_tensor(2)), Rig.NAT)\n"
+        "p = wa.poly(o, {0b110: 2, 0b001: 1}, constant=1)\n"
+        "loaded = pickle.load(sys.stdin.buffer)\n"
+        "assert loaded[0] is o and loaded[1] is p, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(wa.__file__))
+    path = os.pathsep.join(q for q in (src, os.environ.get("PYTHONPATH")) if q)
+    proc = subprocess.run([sys.executable, "-c", code], input=pickle.dumps((o, p)),
+                          capture_output=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr.decode()
