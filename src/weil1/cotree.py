@@ -85,12 +85,16 @@ def n_join(n: int) -> Cotree:
 
 @lru_cache(maxsize=None)
 def leaves(t: Cotree) -> int:
-    """Number of W leaves, i.e. generators of the named algebra."""
-    if t.kind == "K":
-        return 0
-    if t.kind == "W":
-        return 1
-    return sum(leaves(p) for p in t.parts)
+    """Number of W leaves, i.e. generators of the named algebra, counted
+    with an explicit stack, so a deep tree does not recurse."""
+    n, stack = 0, [t]
+    while stack:
+        s = stack.pop()
+        if s.kind == "W":
+            n += 1
+        else:
+            stack.extend(s.parts)
+    return n
 
 
 def factors(t: Cotree) -> tuple[Cotree, ...]:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from .rig import Rig
 from .cograph import Frozen, intern, vertices_of
 from .cotree import Cotree, K, W, factors, format_cotree, join, leaves, n_join, n_tensor, tensor
-from .weilalg import algebra_of, poly_trusted, size_lex
+from .weilalg import algebra_of, intern_image, poly_trusted, size_lex
 from . import morphism as mor
 from .morphism import Morphism, TypeMismatch
 
@@ -517,12 +517,14 @@ def _hit_mask(raw) -> int:
 def _restrict(f: Morphism, src: Cotree, raw, kept_positions: tuple) -> Morphism:
     """The map out of ``src`` with images ``raw``, a slice of f's, with the
     target compressed to ``kept_positions``: every position those images
-    hit, so no term is dropped."""
-    table = [0] * f.target.n
-    for k, pos in enumerate(kept_positions):
-        table[pos - 1] = 1 << k
+    hit, so no term is dropped.  The compression is monotone, so it keeps
+    the integer mask order and the images need no sort."""
+    bits = tuple(enumerate(pos - 1 for pos in kept_positions))
+    images = tuple(
+        intern_image(tuple((sum(1 << k for k, p in bits if m >> p & 1), c) for m, c in terms))
+        for terms in raw)
     tgt = algebra_of(n_tensor(len(kept_positions)), f.rig)
-    return mor.compose_restriction(tuple(table), tgt, Morphism(algebra_of(src, f.rig), f.target, raw))
+    return Morphism(algebra_of(src, f.rig), tgt, images)
 
 
 def decompose_one_circle(f: Morphism) -> GenExpr:

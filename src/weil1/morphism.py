@@ -252,52 +252,12 @@ def projection(prod: WeilObject, side: int) -> Morphism:
     return pair_projections(prod, 0, left, right)[side - 1]
 
 
-def remap_mask(mask: int, table: tuple[int, ...] | list[int]) -> int:
-    """Send a monomial through a generator table: ``table[i]`` is the target
-    bit of source generator i+1, or 0 when that generator is killed.  The
-    result is 0 when the monomial contains a killed generator."""
-    out = 0
-    while mask:
-        bit = mask & -mask
-        t = table[bit.bit_length() - 1]
-        if not t:
-            return 0
-        out |= t
-        mask ^= bit
-    return out
-
-
-def restriction_gen_map(f: Morphism) -> tuple[int, ...]:
-    """The ``remap_mask`` table of a restriction morphism: one that sends each
-    generator to 0 or, with coefficient 1, to a generator, and whose
-    surviving generators embed as an induced subgraph of the target.  For
-    any other morphism a mask remap is not its composite, so TypeMismatch."""
-    table = []
-    for terms in f.raw:
-        mask, coeff = terms[0] if terms else (0, 1)
-        if len(terms) > 1 or coeff != 1 or mask & (mask - 1):
-            raise TypeMismatch("not a restriction: an image is not 0 or one generator")
-        table.append(mask)
-    kept = sum(1 << i for i, t in enumerate(table) if t)
-    image = 0
-    for t in table:
-        image |= t
-    # f's relations send edges between survivors to edges between their
-    # images, so the survivors embed when the images are distinct and every
-    # survivor has as many neighbours among them as its image has
-    src_adj, tgt_adj = f.source.graph.adjacency, f.target.graph.adjacency
-    if image.bit_count() != kept.bit_count() or any(
-            (src_adj[i] & kept).bit_count() != (tgt_adj[t.bit_length() - 1] & image).bit_count()
-            for i, t in enumerate(table) if t):
-        raise TypeMismatch("not a restriction: the surviving generators do not embed")
-    return tuple(table)
-
-
 class Splice(namedtuple("Splice", "at width")):
-    """A block splice, the shape of every map that ``pair_layout`` makes.  As
-    a restriction it kills the ``width`` generators from bit ``at`` on and
-    moves those above them down; its inverse, the matching embedding, opens
-    that block.  Both keep plain integer mask order."""
+    """A block splice, the shape of every restriction the kernel composes
+    after: ``pair_layout``'s projections, the pullback legs and the
+    equaliser's arrows.  As a restriction it kills the ``width`` generators
+    from bit ``at`` on and moves those above them down; its inverse, the
+    matching embedding, opens that block.  Both keep plain integer mask order."""
 
     __slots__ = ()
 
@@ -308,31 +268,21 @@ class Splice(namedtuple("Splice", "at width")):
         return 0 if mask >> at & ((1 << w) - 1) else mask & low | mask >> w & ~low
 
 
-def compose_restriction(gen_map, target: WeilObject, f: Morphism) -> Morphism:
-    """Compose a restriction, a ``Splice`` or a ``remap_mask`` table, after ``f``.
+def compose_restriction(splice: Splice, target: WeilObject, f: Morphism) -> Morphism:
+    """Compose the restriction ``splice`` after ``f``.
 
-    A monomial survives only when none of its generators are killed, and
-    distinct survivors stay distinct, so this is a plain mask remap; a
-    splice keeps the mask order too, so its images need no sort."""
-    if isinstance(gen_map, Splice):
-        at, w = gen_map
-        low, block = (1 << at) - 1, ((1 << w) - 1) << at
-        images = []
-        for terms in f.raw:
-            kept = []
-            for m, c in terms:
-                if not m & block:
-                    kept.append((m & low | m >> w & ~low, c))
-            images.append(intern_image(tuple(kept)))
-        return Morphism(f.source, target, tuple(images))
+    A monomial survives only when it misses the killed block, and distinct
+    survivors stay distinct, so this is a plain mask remap; a splice keeps
+    the mask order too, so its images need no sort."""
+    at, w = splice
+    low, block = (1 << at) - 1, ((1 << w) - 1) << at
     images = []
     for terms in f.raw:
-        d: dict[int, int] = {}
-        for mask, c in terms:
-            new = remap_mask(mask, gen_map)
-            if new:
-                d[new] = c
-        images.append(poly_trusted(d))
+        kept = []
+        for m, c in terms:
+            if not m & block:
+                kept.append((m & low | m >> w & ~low, c))
+        images.append(intern_image(tuple(kept)))
     return Morphism(f.source, target, tuple(images))
 
 

@@ -11,6 +11,10 @@ class Rig(enum.Enum):
     BOOL2 = "bool2"
     NAT = "nat"
 
+    # members are singletons, so identity hashing is exact and, unlike
+    # Enum's Python-level hash of the name, costs no call per dict lookup
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

@@ -414,19 +414,19 @@ def vertical_lift_equalizer_map(rig: Rig = Rig.BOOL2) -> Morphism:
     return mor.make(w2, ww, [{0b11: 1}, {0b10: 1}], check=True)
 
 
+# W (x) eps and eta . (eps (x) eps), the two arrows 2W -> W that v equalizes,
+# as restrictions: the first kills y2 and the second kills y1 and y2
+EQUALIZER_ARROWS = (mor.Splice(1, 1), mor.Splice(0, 2))
+
+
 def check_equalizer() -> AxiomReport:
     """v equalizes (W tensor eps, eta . (eps tensor eps)) and every equalizing
     cone from an object of at most ``EQUALIZER_VERTICES`` vertices factors
     through it exactly once."""
     rig = Rig.BOOL2
-    w, gens = algebra_of(W, rig), mor.generators(rig)
-    idw = mor.identity(w)
+    w = algebra_of(W, rig)
     v = vertical_lift_equalizer_map(rig)
-    # both arrows send each generator to one generator or to 0 (their tables
-    # are refused otherwise), so composing after them is a mask remap
-    lhs = mor.restriction_gen_map(mor.tensor_mor(idw, gens["eps_W"]))
-    rhs = mor.restriction_gen_map(
-        mor.compose(gens["eta_W"], mor.tensor_mor(gens["eps_W"], gens["eps_W"])))
+    lhs, rhs = EQUALIZER_ARROWS
     lhs_v = mor.compose_restriction(lhs, w, v)
     rhs_v = mor.compose_restriction(rhs, w, v)
     results = [_result("equalizer.v_equalizes", lhs_v == rhs_v, f"{lhs_v!r} vs {rhs_v!r}")]

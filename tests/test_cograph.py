@@ -335,6 +335,7 @@ def test_deep_cotree_is_one_object():
     a, b = threshold(1000), threshold(1000)
     assert a is b and a == b and {a: 1}[b] == 1
     assert a is not threshold(999)
+    assert ct.leaves(a) == 1000
 
 
 def test_realize_table():

@@ -263,6 +263,14 @@ def test_expand_ghat_keeps_pairat_block_sizes():
     assert ge.evaluate(expanded, NAT) == f
 
 
+def test_expand_ghat_of_zero_is_the_zero_map():
+    # ghat(0) expands to eta . eps, the zero map W -> W
+    w_nat = wa.algebra_of(ct.W, NAT)
+    expanded = ge.expand_ghat(ge.Ghat(0))
+    assert expanded is ge.Compose(ge.Eta, ge.Eps)
+    assert ge.evaluate(expanded, NAT) == ge.evaluate(ge.Ghat(0), NAT) == mor.zero_map(w_nat, w_nat)
+
+
 def test_expand_ghat_visits_shared_nodes_once():
     # 60 nested comp(e, e) over ghat(1) is a 61-node DAG with 2^60 paths;
     # a fresh process, so that a tree walk fails the test instead of stalling it

@@ -148,36 +148,19 @@ def test_pair_into_incompatible():
 
 
 def test_compose_restriction_matches_compose():
-    # the table remap agrees with substitution for both context projections,
-    # including monomials that a projection kills
-    target = wa.algebra_of(ct.tensor(ct.W, ct.join(ct.W, ct.n_tensor(2))), B2)
+    # each context projection's splice composes as substitution into the
+    # projection does, including on monomials that it kills
     t1 = wa.algebra_of(ct.n_tensor(2), B2)
     t2 = wa.algebra_of(ct.n_tensor(3), B2)
+    target, s1, s2 = mor.pair_layout(t1, t2, 2, 1, 2)
+    assert target == wa.algebra_of(ct.tensor(ct.W, ct.join(ct.W, ct.n_tensor(2))), B2)
+    assert (s1, s2) == (mor.Splice(2, 2), mor.Splice(1, 1))
+    assert (s2.project(0b1101), s2.project(0b0011)) == (0b111, 0)
     projs = mor.pair_projections(target, 2, t1, t2, 1, 2)
-    assert mor.restriction_gen_map(projs[1]) == (0b001, 0, 0b010, 0b100)
-    assert mor.remap_mask(0b1101, mor.restriction_gen_map(projs[1])) == 0b111
-    assert mor.remap_mask(0b0011, mor.restriction_gen_map(projs[1])) == 0
     for src in (W, W2):
         for f in enumerate_hom(src, target):
-            for p, t in zip(projs, (t1, t2)):
-                assert mor.compose_restriction(mor.restriction_gen_map(p), t, f) == mor.compose(p, f)
-
-
-def test_restriction_gen_map_refuses_other_maps():
-    # accepted: projections, the swap, and maps that kill everything
-    assert mor.restriction_gen_map(mor.projection(W2, 2)) == (0, 0b1)
-    assert mor.restriction_gen_map(mor.make(WW, WW, [{0b10: 1}, {0b01: 1}])) == (0b10, 0b01)
-    assert mor.restriction_gen_map(mor.zero_map(W2, W)) == (0, 0)
-    refused = [
-        mor.make(W, WW, [{0b11: 1}]),                       # a product of generators
-        mor.make(W, W2, [{0b01: 1, 0b10: 1}]),              # a sum
-        mor.make(W2, W, [{1: 1}, {1: 1}]),                  # two generators to one
-        mor.make(WW, W2, [{0b01: 1}, {0b10: 1}]),          # non-adjacent to adjacent
-        mor.make(wa.algebra_of(ct.W, NAT), wa.algebra_of(ct.W, NAT), [{1: 2}]),  # scaled
-    ]
-    for f in refused:
-        with pytest.raises(mor.TypeMismatch):
-            mor.restriction_gen_map(f)
+            for s, p, t in zip((s1, s2), projs, (t1, t2)):
+                assert mor.compose_restriction(s, t, f) == mor.compose(p, f)
 
 
 def _reference_restriction(source, target, gen_map):
@@ -205,8 +188,22 @@ def _pair_layouts(max_vertices, rig):
                 yield o1, o2, shape, layout
 
 
+def _remap(mask, table):
+    """Oracle: send a monomial through a generator table, ``table[i]`` the
+    target bit of generator i+1 or 0 when it is killed.  The result is 0
+    when the monomial contains a killed generator."""
+    bits = [table[i] for i in range(mask.bit_length()) if mask >> i & 1]
+    return 0 if not all(bits) else sum(bits)
+
+
+def _table_of(f):
+    """Oracle: the generator table of a restriction morphism ``f``."""
+    assert all(len(t) <= 1 and all(c == 1 and m & (m - 1) == 0 for m, c in t) for t in f.raw)
+    return tuple(t[0][0] if t else 0 for t in f.raw)
+
+
 def _splice_tables(layout, o1, o2):
-    """Oracle: the ``remap_mask`` tables of a layout's four maps, from each
+    """Oracle: the ``_remap`` tables of a layout's four maps, from each
     side's splice.  The embedding sends the side's generators, in order, to
     the target bits outside the splice's block; the projection inverts it."""
     target = layout[0]
@@ -233,11 +230,11 @@ def test_pair_layout_projection_tables_match_checked_restrictions(rig):
         for obj, (emb, table) in zip((o1, o2), tables):
             ref = _reference_restriction(
                 target, obj, {bit.bit_length(): i + 1 for i, bit in enumerate(emb)})
-            assert mor.restriction_gen_map(ref) == table, (o1, o2, at, k1, k2)
+            assert _table_of(ref) == table, (o1, o2, at, k1, k2)
             refs.append(ref)
         projs = mor.pair_projections(target, at, o1, o2, k1, k2)
         assert projs == tuple(refs), (o1, o2, at, k1, k2)
-        assert tuple(map(mor.restriction_gen_map, projs)) == tuple(t for _, t in tables)
+        assert tuple(map(_table_of, projs)) == tuple(t for _, t in tables)
         count += 1
     assert count == 153
 
@@ -255,14 +252,16 @@ def test_splices_remap_as_their_tables(rig):
         every = mor.Morphism(w, target, (tuple((m, 1) for m in masks),))
         legs = []
         for obj, splice, (_, table) in zip((o1, o2), layout[1:], tables):
-            assert [splice.project(m) for m in masks] == [mor.remap_mask(m, table) for m in masks]
+            remapped = [_remap(m, table) for m in masks]
+            assert [splice.project(m) for m in masks] == remapped
             leg = mor.compose_restriction(splice, obj, every)
-            assert leg == mor.compose_restriction(table, obj, every), (o1, o2, at, k1, k2)
+            want = tuple((r, 1) for r in sorted(remapped) if r)
+            assert leg == mor.Morphism(w, obj, (want,)), (o1, o2, at, k1, k2)
             legs.append(leg)
         # every mask of each leg's target is the image of one of ``every``'s
         assert [len(leg.raw[0]) for leg in legs] == [(1 << o.n) - 1 for o in (o1, o2)]
         paired = mor.pair_into(*legs, at, k1, k2, check=False)
-        want = {mor.remap_mask(m, emb) for leg, (emb, _) in zip(legs, tables) for m, _ in leg.raw[0]}
+        want = {_remap(m, emb) for leg, (emb, _) in zip(legs, tables) for m, _ in leg.raw[0]}
         assert paired.raw == (tuple((m, 1) for m in sorted(want)),), (o1, o2, at, k1, k2)
 
 
@@ -466,7 +465,7 @@ def test_images_are_interned_on_every_route(rig):
         "compose": mor.compose(mor.identity(www), made),
         "tensor_mor": mor.tensor_mor(made, made),
         "compose_restriction, splice": p1,
-        "compose_restriction, table": mor.compose_restriction((0b01, 0, 0b10), ww, made),
+        "genexpr._restrict": ge._restrict(made, ct.W, made.raw, (1, 3)),
         "pair_into": mor.pair_into(both, both, at=2),
         "identity": mor.identity(ctx),
         "SlotAssignment.lift": lifted,

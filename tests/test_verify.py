@@ -260,6 +260,27 @@ def test_equalizer_suite():
     assert report.all_passed, report.failures()
 
 
+def test_equalizer_arrows_are_their_morphisms():
+    # W (x) eps and eta . (eps (x) eps), restricted along each splice
+    lhs, rhs = vf.EQUALIZER_ARROWS
+    assert (lhs, rhs) == (mor.Splice(1, 1), mor.Splice(0, 2))
+    idww = mor.identity(WW)
+    assert mor.compose_restriction(lhs, W, idww) == mor.tensor_mor(mor.identity(W), GENS["eps_W"])
+    assert mor.compose_restriction(rhs, W, idww) == mor.compose(
+        GENS["eta_W"], mor.tensor_mor(GENS["eps_W"], GENS["eps_W"]))
+
+
+def test_a_wrong_equalizer_map_fails_universality(monkeypatch):
+    # x1 -> y1 y2, x2 -> 0 still equalizes both arrows, but no map into W^2
+    # reaches the cone x -> y2 through it
+    monkeypatch.setattr(vf, "vertical_lift_equalizer_map",
+                        lambda rig: mor.make(W2, WW, [{0b11: 1}, {}]))
+    report = vf.check_equalizer()
+    failures = report.failures()
+    assert report.results[0].passed and failures, report.format_lines()
+    assert all("factorizations" in r.detail for r in failures), failures
+
+
 def test_equalizer_counts_unique_factorization_by_hand():
     # independent recount for A = W: solve v . u = h over all of Hom(W, W^2)
     v = vf.vertical_lift_equalizer_map()
@@ -308,8 +329,7 @@ def reference_pullback(b, a1, a2, apex_max=2, cone_budget=200_000, sample=20_000
     base_mask = (1 << wa.algebra_of(b, B2).n) - 1
 
     def projected(proj):
-        table = mor.restriction_gen_map(proj)
-        return [tuple(sorted({mor.remap_mask(m, table) for m, _ in terms} - {0}))
+        return [tuple(m for m, _ in mor.compose(proj, mor.Morphism(W, p_obj, (terms,))).raw[0])
                 for terms in cand_p]
 
     legs1, legs2 = projected(proj1), projected(proj2)
