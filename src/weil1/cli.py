@@ -111,13 +111,9 @@ def cmd_evaluate(args) -> int:
 def cmd_kappa(args) -> int:
     tree = dsl.parse_object(_read_input(args.input))
     derived = cg.kappa(ct.realize(tree))
-    if args.format == "dot":
-        sys.stdout.write(cg.to_dot(derived.graph, derived.labels))
-        return EXIT_OK
     print(f"kappa({ct.format_cotree(tree)}): {derived.graph.n} vertices")
     for i, label in enumerate(derived.labels, start=1):
-        body = "{" + ",".join(cg.format_mask(m) for m in label) + "}"
-        print(f"  {i}: {body}")
+        print(f"  {i}: {cg.format_label(label)}")
     for u, v in sorted(derived.graph.edges):
         print(f"  {u} -- {v}")
     return EXIT_OK
@@ -190,19 +186,13 @@ def cmd_dot(args) -> int:
 
 def _morphism_dot(f) -> str:
     """Target graph with one coloured node per circle, linked to its members."""
-    g = f.target.graph
-    lines = ["graph {"]
-    for v in range(1, g.n + 1):
-        lines.append(f"  {v};")
-    for u, v in sorted(g.edges):
-        lines.append(f"  {u} -- {v};")
+    lines = cg.to_dot(f.target.graph).splitlines()[:-1]  # the circles go before "}"
     for i, p in enumerate(f.images, start=1):
         colour = _PALETTE[(i - 1) % len(_PALETTE)]
         for k, (mask, coeff) in enumerate(p.terms, start=1):
             node = f"c{i}_{k}"
-            label = f"x{i}: {cg.format_mask(mask)}"
-            if coeff != 1:
-                label = f"x{i}: {coeff}*{cg.format_mask(mask)}"
+            scale = "" if coeff == 1 else f"{coeff}*"
+            label = f"x{i}: {scale}{cg.format_mask(mask)}"
             lines.append(f'  {node} [label="{label}", color={colour}, shape=ellipse];')
             for v in cg.vertices_of(mask):
                 lines.append(f"  {node} -- {v} [style=dashed, color={colour}];")
@@ -254,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("kappa", parents=[common], help="the kappa graph of an object")
-    p.add_argument("--format", choices=["text", "dot"], default="text")
     p.add_argument("input")
     p.set_defaults(func=cmd_kappa)
 

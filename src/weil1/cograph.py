@@ -328,20 +328,22 @@ def find_induced_p4(g: Graph) -> tuple[int, ...] | None:
 
 
 def to_dot(g: Graph, labels=None) -> str:
-    """Graphviz DOT text; derived graphs get their set notation as labels."""
+    """Graphviz DOT text, the one DOT writer; derived graphs get their set
+    notation as labels.  The text ends with the closing line ``}``."""
     lines = ["graph {"]
     for v in range(1, g.n + 1):
         if labels is None:
             lines.append(f"  {v};")
         else:
-            lines.append(f'  {v} [label="{_label_text(labels[v - 1])}"];')
+            lines.append(f'  {v} [label="{format_label(labels[v - 1])}"];')
     for u, v in sorted(g.edges):
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _label_text(label) -> str:
+def format_label(label) -> str:
+    """Set notation of a derived-graph label: a vertex set, or a tuple of them."""
     if isinstance(label, int):
         return format_mask(label)
     return "{" + ",".join(format_mask(m) for m in label) + "}"

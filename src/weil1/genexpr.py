@@ -105,11 +105,15 @@ class Pair(GenExpr):
     """Pullback-induced map.  ``at`` = 0 pairs into the plain product of the
     two targets; ``at`` = t >= 1 merges the targets at the tensor-factor
     block starting at position t (spanning ``k1`` factors of the first
-    target and ``k2`` of the second)."""
+    target and ``k2`` of the second).  At 0 the block is the whole of each
+    target, so ``k1`` and ``k2`` are stored as 1, which is what the printed
+    ``pair(...)`` parses back to."""
 
     __slots__ = _fields = ("e1", "e2", "at", "k1", "k2")
 
     def __new__(cls, e1: GenExpr, e2: GenExpr, at: int = 0, k1: int = 1, k2: int = 1):
+        if at == 0:
+            k1 = k2 = 1
         return intern(cls, ("Pair", id(e1), id(e2), at, k1, k2), (e1, e2, at, k1, k2))
 
 

@@ -35,6 +35,7 @@ from .weilalg import (
     format_poly,
     intern_image,
     poly,
+    poly_mul,
     poly_trusted,
     size_lex,
 )
@@ -147,12 +148,12 @@ def make(source: WeilObject, target: WeilObject, images, check: bool = True) -> 
     if source.rig is not target.rig:
         raise TypeMismatch("source and target rigs differ")
     raw = []
-    for img in images:
+    for i, img in enumerate(images, start=1):
         if isinstance(img, Polynomial):
             if img.ambient != target:
                 raise TypeMismatch("image polynomial lives in the wrong ambient")
-            if img.constant != 0:
-                raise RelationViolation(0, 0, img)
+            if img.constant != 0:  # a constant survives squaring
+                raise RelationViolation(i, i, poly_mul(img, img))
             raw.append(poly_trusted(img.as_dict()))
         else:
             raw.append(poly_trusted(checked_terms(target, img)))
@@ -349,25 +350,22 @@ def pair_layout(o1: WeilObject, o2: WeilObject, at: int, k1: int = 1, k2: int = 
     """The pair target and the two ``Splice``s of its projections onto
     ``o1`` and ``o2``: each kills the other side's block, and its inverse
     embeds its own side."""
-    t1, t2 = o1.cotree, o2.cotree
+    f1l, f2l = factors(o1.cotree), factors(o2.cotree)
     if at == 0:
-        # the plain product: blocks t1 and t2 with an empty context
-        target = join(t1, t2)
-        np, nb1, nb2 = 0, leaves(t1), leaves(t2)
-    else:
-        f1l = list(factors(t1))
-        f2l = list(factors(t2))
-        if not (1 <= at and at - 1 + k1 <= len(f1l) and at - 1 + k2 <= len(f2l)):
-            raise TypeMismatch("pair factor block does not fit the targets")
-        prefix = f1l[: at - 1]
-        suffix = f1l[at - 1 + k1 :]
-        if f2l[: at - 1] != prefix or f2l[at - 1 + k2 :] != suffix:
-            raise TypeMismatch("pair targets do not share a tensor context")
-        b1 = tensor(*f1l[at - 1 : at - 1 + k1])
-        b2 = tensor(*f2l[at - 1 : at - 1 + k2])
-        target = tensor(*prefix, join(b1, b2), *suffix)
-        np = sum(leaves(p) for p in prefix)
-        nb1, nb2 = leaves(b1), leaves(b2)
+        # the plain product: the block pair of the whole targets, with an
+        # empty context
+        at, k1, k2 = 1, len(f1l), len(f2l)
+    if not (1 <= at and at - 1 + k1 <= len(f1l) and at - 1 + k2 <= len(f2l)):
+        raise TypeMismatch("pair factor block does not fit the targets")
+    prefix = f1l[: at - 1]
+    suffix = f1l[at - 1 + k1 :]
+    if f2l[: at - 1] != prefix or f2l[at - 1 + k2 :] != suffix:
+        raise TypeMismatch("pair targets do not share a tensor context")
+    b1 = tensor(*f1l[at - 1 : at - 1 + k1])
+    b2 = tensor(*f2l[at - 1 : at - 1 + k2])
+    target = tensor(*prefix, join(b1, b2), *suffix)
+    np = sum(leaves(p) for p in prefix)
+    nb1, nb2 = leaves(b1), leaves(b2)
     return algebra_of(target, o1.rig), Splice(np + nb1, nb2), Splice(np, nb1)
 
 

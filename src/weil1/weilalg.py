@@ -24,7 +24,7 @@ reference counting as soon as it is replaced.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import rig as rig_mod
 from .rig import Rig
@@ -114,19 +114,14 @@ class Polynomial(Frozen):
         return f"Polynomial({format_poly(self)})"
 
 
-_MASK_KEYS: dict[int, tuple] = {}
-
-
-def _mask_key_cached(mask: int):
-    k = _MASK_KEYS.get(mask)
-    if k is None:
-        k = _MASK_KEYS[mask] = mask_key(mask)
-    return k
+# the term order's sort key, memoised for size_lex alone: ``kappa_labels``
+# sorts every clique it lists by ``mask_key``, which a shared cache would keep
+_term_key = lru_cache(maxsize=None)(mask_key)
 
 
 def size_lex(terms) -> tuple[tuple[int, int], ...]:
     """``(mask, coeff)`` pairs in the public order: size, then lexicographic members."""
-    return tuple(sorted(terms, key=lambda mc: _mask_key_cached(mc[0])))
+    return tuple(sorted(terms, key=lambda mc: _term_key(mc[0])))
 
 
 def checked_terms(ambient: WeilObject, terms) -> dict[int, int]:

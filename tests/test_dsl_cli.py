@@ -407,9 +407,13 @@ def test_cli_kappa(capsys):
 
 
 def test_cli_kappa_dot(capsys):
-    code, out, _ = run_cli(capsys, "kappa", "--format", "dot", "W")
+    # kappa's DOT text has one command, dot --kappa
+    code, out, _ = run_cli(capsys, "dot", "--kappa", "W")
     assert code == 0
-    assert out.startswith("graph {") and 'label="{{1}}"' in out
+    assert out == 'graph {\n  1 [label="{}"];\n  2 [label="{{1}}"];\n  1 -- 2;\n}\n'
+    with pytest.raises(SystemExit) as exc:
+        main(["kappa", "--format", "dot", "W"])
+    assert exc.value.code == 2 and not capsys.readouterr().out
 
 
 def test_cli_kappa_refuses_a_format_it_does_not_print(capsys):
@@ -430,6 +434,20 @@ def test_cli_dot_morphism(capsys):
     code, out, _ = run_cli(capsys, "dot", "--morphism", "f : W -> 2W ; x |-> y1 y2")
     assert code == 0
     assert "c1_1" in out and "color=red" in out
+    # two colours on a target with edges: the target's DOT text, then the circles
+    code, out, _ = run_cli(capsys, "dot", "--morphism",
+                           "f : 2W -> W * 2W ; x1 |-> y1 ; x2 |-> y2 y3 + y1")
+    assert code == 0
+    assert out == "\n".join([
+        "graph {", "  1;", "  2;", "  3;", "  1 -- 2;", "  1 -- 3;",
+        '  c1_1 [label="x1: {1}", color=red, shape=ellipse];',
+        "  c1_1 -- 1 [style=dashed, color=red];",
+        '  c2_1 [label="x2: {1}", color=blue, shape=ellipse];',
+        "  c2_1 -- 1 [style=dashed, color=blue];",
+        '  c2_2 [label="x2: {2,3}", color=blue, shape=ellipse];',
+        "  c2_2 -- 2 [style=dashed, color=blue];",
+        "  c2_2 -- 3 [style=dashed, color=blue];",
+        "}", ""])
 
 
 def test_cli_verify_small(capsys):

@@ -299,6 +299,15 @@ def test_nodes_are_interned():
     assert ge.decompose(f) is e
 
 
+def test_plain_pair_prints_and_parses_to_one_node():
+    # at 0 the block sizes are not printed, so the node stores them as 1
+    for k1, k2 in ((1, 1), (5, 7), (0, 3)):
+        e = parse_genexpr(f"pairat(0, {k1}, {k2}, id(W), eps)")
+        assert ge.format_genexpr(e) == "pair(id(W), eps)"
+        assert parse_genexpr(ge.format_genexpr(e)) is e
+        assert e is ge.Pair(ge.Id(ct.W), ge.Eps, 0, k1, k2) is ge.Pair(ge.Id(ct.W), ge.Eps)
+
+
 def test_round_trip_caches_share_one_tuple_per_image():
     # a fresh process, so that the caches hold exactly one hom-set's round trip
     src = os.path.dirname(os.path.dirname(ge.__file__))

@@ -39,6 +39,20 @@ def test_validate_rejects_disjoint_circles_same_generator():
     assert err.value.witness == wa.poly(ww_nat, {0b11: 2})
 
 
+def test_make_refuses_a_constant_image_by_its_square():
+    # the constant survives squaring, so the relation x1^2 = 0 fails
+    for rig in (B2, NAT):
+        w = wa.algebra_of(ct.W, rig)
+        w2 = wa.algebra_of(ct.n_tensor(2), rig)
+        img = wa.poly(w2, {0b01: 1}, constant=1)
+        with pytest.raises(mor.RelationViolation) as err:
+            mor.make(w, w2, [img])
+        assert isinstance(err.value, ValueError)  # exit 2 from the CLI
+        assert (err.value.i, err.value.j) == (1, 1)
+        assert err.value.witness == wa.poly_mul(img, img)
+        assert str(err.value).startswith("image of relation x1^2 = 0 is non-zero: 1 + ")
+
+
 def test_validate_zero_map_to_base():
     f = mor.validate(W, K, [{}])
     assert f.is_zero_map()
@@ -161,6 +175,20 @@ def test_compose_restriction_matches_compose():
         for f in enumerate_hom(src, target):
             for s, p, t in zip((s1, s2), projs, (t1, t2)):
                 assert mor.compose_restriction(s, t, f) == mor.compose(p, f)
+
+
+@pytest.mark.parametrize("rig", [B2, NAT])
+def test_plain_pair_layout_is_the_empty_context_block_pair(rig):
+    # at 0 the blocks are the whole targets: the target is their product,
+    # the first side's block comes first, and the context is empty
+    objs = [wa.algebra_of(t, rig) for t in canonical_objects(2)]
+    for o1, o2 in itertools.product(objs, repeat=2):
+        t1, t2 = o1.cotree, o2.cotree
+        layout = mor.pair_layout(o1, o2, 0)
+        assert layout == mor.pair_layout(o1, o2, 1, len(ct.factors(t1)), len(ct.factors(t2)))
+        n1, n2 = ct.leaves(t1), ct.leaves(t2)
+        want = (wa.algebra_of(ct.join(t1, t2), rig), mor.Splice(n1, n2), mor.Splice(0, n1))
+        assert layout == want, (o1, o2)
 
 
 def _reference_restriction(source, target, gen_map):
