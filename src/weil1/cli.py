@@ -207,15 +207,15 @@ def _natural(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # --rig goes on the commands that read it (those that call _rig) and on
+    # no other, so that a rig a command would ignore is refused
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rig", choices=["bool2", "nat"], default=argparse.SUPPRESS,
+    common.add_argument("--rig", choices=["bool2", "nat"], default="bool2",
                         help="coefficient rig (default bool2)")
     parser = argparse.ArgumentParser(
         prog="weil1",
         description="Exact symbolic kernel for algebras built from W = k[x]/x^2.",
     )
-    parser.add_argument("--rig", choices=["bool2", "nat"], default="bool2",
-                        help="coefficient rig (default bool2)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", parents=[common], help="parse and reprint canonically")
@@ -243,29 +243,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("kappa", parents=[common], help="the kappa graph of an object")
+    p = sub.add_parser("kappa", help="the kappa graph of an object")
     p.add_argument("input")
     p.set_defaults(func=cmd_kappa)
 
-    p = sub.add_parser("cotree", parents=[common],
-                       help="recognise a graph ('n; u-v u-v ...') as a cograph")
+    p = sub.add_parser("cotree", help="recognise a graph ('n; u-v u-v ...') as a cograph")
     p.add_argument("input")
     p.set_defaults(func=cmd_cotree)
 
-    p = sub.add_parser("hom", parents=[common], help="enumerate a hom-set over bool2")
+    p = sub.add_parser("hom", help="enumerate a hom-set over bool2")
     p.add_argument("--format", choices=["text", "lines"], default="text")
     p.add_argument("source")
     p.add_argument("target")
     p.set_defaults(func=cmd_hom)
 
-    p = sub.add_parser("verify", parents=[common], help="run the axiom suite")
+    p = sub.add_parser("verify", help="run the axiom suite")
     p.add_argument("--max-vertices", type=_natural, default=2)
     p.add_argument("--format", choices=["text", "lines"], default="text")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dot", parents=[common], help="emit graphviz DOT")
-    p.add_argument("--kappa", action="store_true", help="render kappa of the object")
-    p.add_argument("--morphism", action="store_true", help="render a morphism's circles")
+    picture = p.add_mutually_exclusive_group()
+    picture.add_argument("--kappa", action="store_true", help="render kappa of the object")
+    picture.add_argument("--morphism", action="store_true", help="render a morphism's circles")
     p.add_argument("input")
     p.set_defaults(func=cmd_dot)
     return parser

@@ -177,11 +177,9 @@ def evaluate(e: GenExpr, rig: Rig = Rig.BOOL2) -> Morphism:
             fi = evaluate(e.inner, rig)
             if fi.target != fo.source:
                 raise IllTyped(e, "compose seam mismatch")
-            out = mor.compose(fo, fi, check=False)
+            out = mor.compose(fo, fi)
         elif isinstance(e, Pair):
-            out = mor.pair_into(
-                evaluate(e.e1, rig), evaluate(e.e2, rig), e.at, e.k1, e.k2, check=False
-            )
+            out = mor.pair_into(evaluate(e.e1, rig), evaluate(e.e2, rig), e.at, e.k1, e.k2)
         else:
             raise TypeError(f"not a GenExpr: {e!r}")
     except TypeMismatch as exc:
@@ -529,16 +527,6 @@ def _restrict(f: Morphism, src: Cotree, raw, kept_positions: tuple) -> Morphism:
         for terms in raw)
     tgt = algebra_of(n_tensor(len(kept_positions)), f.rig)
     return Morphism(algebra_of(src, f.rig), tgt, images)
-
-
-def decompose_one_circle(f: Morphism) -> GenExpr:
-    """Expression for a one-term map W -> nW with coefficient 1."""
-    if f.source.cotree.kind != "W" or any(f.target.graph.adjacency):
-        raise TypeMismatch("decompose_one_circle needs W -> nW input")
-    terms = f.raw[0]
-    if len(terms) != 1 or terms[0][1] != 1:
-        raise TypeMismatch("decompose_one_circle needs exactly one circle with coefficient 1")
-    return one_circle_expr(f.target.cotree, terms[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def _component(tau: Morphism, obj: WeilObject) -> Morphism:
 
 def _swap_w2(rig: Rig) -> Morphism:
     w2 = algebra_of(n_join(2), rig)
-    return mor.make(w2, w2, [{0b10: 1}, {0b01: 1}], check=False)
+    return mor.make(w2, w2, [{0b10: 1}, {0b01: 1}])
 
 
 def _plus_times_id(rig: Rig) -> Morphism:
@@ -438,7 +438,7 @@ def check_equalizer() -> AxiomReport:
         detail = ""
         factor_counts: dict[Morphism, int] = {}
         for u in enumerate_hom(a, w2):
-            h = mor.compose(v, u, check=False)
+            h = mor.compose(v, u)
             factor_counts[h] = factor_counts.get(h, 0) + 1
         for h in enumerate_hom(a, ww):
             if mor.compose_restriction(lhs, w, h) != mor.compose_restriction(rhs, w, h):

@@ -30,7 +30,6 @@ from . import rig as rig_mod
 from .rig import Rig
 from .cograph import Frozen, Graph, is_independent, mask_key, vertices_of
 from .cotree import Cotree, realize, format_cotree
-from .cotree import join as join_tree, tensor as tensor_tree
 
 
 class WeilObject(Frozen):
@@ -55,20 +54,6 @@ def algebra_of(t: Cotree, rig: Rig = Rig.BOOL2) -> WeilObject:
     k[x]/x^2.  The one interned ``WeilObject`` for the pair, so the graph
     it realises is built once."""
     return WeilObject(t, rig)
-
-
-def product(a: WeilObject, b: WeilObject) -> WeilObject:
-    """a x b: join of cotrees; relations gain every cross product."""
-    if a.rig is not b.rig:
-        raise ValueError("product requires matching rigs")
-    return algebra_of(join_tree(a.cotree, b.cotree), a.rig)
-
-
-def coproduct(a: WeilObject, b: WeilObject) -> WeilObject:
-    """a tensor b: disjoint union of cotrees; relations are just the union."""
-    if a.rig is not b.rig:
-        raise ValueError("coproduct requires matching rigs")
-    return algebra_of(tensor_tree(a.cotree, b.cotree), a.rig)
 
 
 def presentation(obj: WeilObject) -> str:

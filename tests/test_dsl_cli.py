@@ -400,6 +400,19 @@ def test_cli_evaluate_nat(capsys):
     assert out.strip() == "f : W -> W ; x1 |-> 2 y1"
 
 
+def test_cli_rig_only_on_the_commands_that_read_it(capsys):
+    # --rig follows the six commands that read it, and no other command
+    # accepts a rig it would ignore
+    code, out, _ = run_cli(capsys, "evaluate", "--rig", "nat", "ghat(2)")
+    assert code == 0 and out == "f : W -> W ; x1 |-> 2 y1\n"
+    for argv in (["hom", "--rig", "nat", "W", "W"], ["--rig", "nat", "evaluate", "ghat(2)"],
+                 ["kappa", "--rig", "nat", "W"], ["cotree", "--rig", "nat", "1;"],
+                 ["verify", "--rig", "nat", "--max-vertices", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and not capsys.readouterr().out, argv
+
+
 def test_cli_kappa(capsys):
     code, out, _ = run_cli(capsys, "kappa", "2W")
     assert code == 0
@@ -428,6 +441,13 @@ def test_cli_cotree(capsys):
     assert "object: W * 2W" in out
     code, _, err = run_cli(capsys, "cotree", "4; 1-2 2-3 3-4")
     assert code == 2 and "P4" in err
+
+
+def test_cli_dot_draws_one_picture(capsys):
+    # --kappa and --morphism name two pictures; asking for both is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["dot", "--kappa", "--morphism", "f : W -> 2W ; x |-> y1 y2"])
+    assert exc.value.code == 2 and not capsys.readouterr().out
 
 
 def test_cli_dot_morphism(capsys):

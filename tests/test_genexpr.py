@@ -51,15 +51,15 @@ def test_decompose_one_circle_examples():
     # W -> 5W, x -> x1 x3 x4
     target = wa.algebra_of(ct.n_tensor(5), B2)
     f = mor.validate(W, target, [{0b01101: 1}])
-    e = ge.decompose_one_circle(f)
+    e = ge.one_circle_expr(target.cotree, 0b01101)
     assert ge.evaluate(e, B2) == f
     # x -> x2 comes out as (eta (x) W) . id
     g = mor.validate(W, WW, [{0b10: 1}])
-    e2 = ge.decompose_one_circle(g)
+    e2 = ge.one_circle_expr(WW.cotree, 0b10)
     assert e2 == ge.Compose(ge.Tensor(ge.Eta, ge.Id(ct.W)), ge.Id(ct.W))
     assert ge.evaluate(e2, B2) == g
     # the lift itself evaluates back to l
-    e3 = ge.decompose_one_circle(GENS["l_W"])
+    e3 = ge.one_circle_expr(WW.cotree, 0b11)
     assert ge.evaluate(e3, B2) == GENS["l_W"]
 
 

