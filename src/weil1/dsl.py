@@ -192,7 +192,7 @@ class _Parser:
     # morphisms -----------------------------------------------------------
 
     def morphism(self, rig: Rig):
-        from .morphism import validate  # loaded only by the commands that read morphisms
+        from .morphism import make  # loaded only by the commands that read morphisms
 
         self.expect("NAME")
         self.expect("SYM", ":")
@@ -212,7 +212,7 @@ class _Parser:
             self.expect("SYM", "|->")
             images[i] = self._poly(tgt.n, rig)
         self.end("';'")
-        return validate(src, tgt, [images.get(i, []) for i in range(1, src.n + 1)])
+        return make(src, tgt, [images.get(i, []) for i in range(1, src.n + 1)])
 
     def _gen_index(self, tok: _Token, bound: int) -> int:
         name = tok.text

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .rig import Rig
 from .cograph import Frozen, intern, vertices_of
-from .cotree import Cotree, K, W, factors, format_cotree, join, leaves, n_join, n_tensor, tensor
+from .cotree import Cotree, K, W, format_cotree, join, leaves, n_join, n_tensor, tensor
 from .weilalg import algebra_of, intern_image, poly_trusted, size_lex
 from . import morphism as mor
 from .morphism import Morphism, TypeMismatch
@@ -167,17 +167,11 @@ def evaluate(e: GenExpr, rig: Rig = Rig.BOOL2) -> Morphism:
                 raise IllTyped(e, "ghat is only available over nat")
             out = mor.ghat(e.r, rig)
         elif isinstance(e, Proj):
-            if e.prod.kind != "join":
-                raise IllTyped(e, "proj needs a product object")
             out = mor.projection(algebra_of(e.prod, rig), e.side)
         elif isinstance(e, Tensor):
             out = mor.tensor_mor(evaluate(e.e1, rig), evaluate(e.e2, rig))
         elif isinstance(e, Compose):
-            fo = evaluate(e.outer, rig)
-            fi = evaluate(e.inner, rig)
-            if fi.target != fo.source:
-                raise IllTyped(e, "compose seam mismatch")
-            out = mor.compose(fo, fi)
+            out = mor.compose(evaluate(e.outer, rig), evaluate(e.inner, rig))
         elif isinstance(e, Pair):
             out = mor.pair_into(evaluate(e.e1, rig), evaluate(e.e2, rig), e.at, e.k1, e.k2)
         else:
@@ -398,50 +392,27 @@ def _decompose_edgeless(f: Morphism) -> GenExpr:
         return _zero_map(f)
     assignment = SlotAssignment(f)
     lifted = assignment.lift()
-    recomb = _recombiner_expr(assignment.counts)
+    recomb = recombiner_expr(assignment.counts)
     inner = _split_slots(lifted)
     return Compose(recomb, inner)
 
 
-def _recombiner_expr(counts: tuple[int, ...]) -> GenExpr:
-    return _tensor_fold([plus_expr(c) for c in counts])
+def recombiner_expr(counts: tuple[int, ...]) -> GenExpr:
+    """The tensor of addition towers ``slot_cotree(counts) -> nW`` that sends
+    every slot of block j to target generator j; ``id(k)`` for no blocks."""
+    return _tensor_fold([plus_expr(c) for c in counts] or [Id(K)])
 
 
 @_memoised
 def _split_slots(f: Morphism) -> GenExpr:
-    if _split_data(f.target) is None:
+    if mor.split_layout(f.target) is None:
         return _decompose_flat(f)
     return _split_at_join(f, _split_slots)
 
 
-@lru_cache(maxsize=None)
-def _split_data(target: "mor.WeilObject"):
-    """How the target splits at its first product factor; None for a flat
-    tensor, which has none."""
-    facts = factors(target.cotree)
-    t = next((i for i, p in enumerate(facts, start=1) if p.kind == "join"), None)
-    if t is None:
-        return None
-    prod = facts[t - 1]
-    b1 = prod.parts[0]
-    b2 = join(*prod.parts[1:])
-    t1 = tensor(*facts[: t - 1], b1, *facts[t:])
-    t2 = tensor(*facts[: t - 1], b2, *facts[t:])
-    t1_obj = algebra_of(t1, target.rig)
-    t2_obj = algebra_of(t2, target.rig)
-    if len(facts) == 1:
-        at, k1, k2 = 0, 1, 1
-    else:
-        at = t
-        k1 = len(factors(b1))
-        k2 = len(factors(b2))
-    *_, gm1, gm2 = mor.pair_layout(t1_obj, t2_obj, at, k1, k2)
-    return at, k1, k2, t1_obj, t2_obj, gm1, gm2
-
-
 def _split_at_join(f: Morphism, recurse) -> GenExpr:
     """Split the first product factor of the target through its pullback."""
-    at, k1, k2, t1_obj, t2_obj, gm1, gm2 = _split_data(f.target)
+    at, k1, k2, t1_obj, t2_obj, gm1, gm2 = mor.split_layout(f.target)
     e1 = recurse(mor.compose_restriction(gm1, t1_obj, f))
     e2 = recurse(mor.compose_restriction(gm2, t2_obj, f))
     return Pair(e1, e2, at, k1, k2)
@@ -469,17 +440,15 @@ def _decompose_flat(f: Morphism) -> GenExpr:
 
 def _project_source(f: Morphism) -> GenExpr:
     """A disjoint-circle map out of a product lives in one factor."""
-    a = f.source.cotree
-    n1 = leaves(a.parts[0])
+    _, _, _, t1_obj, t2_obj, _, _ = mor.split_layout(f.source)
+    n1 = t1_obj.n
     nonzero = [i for i, terms in enumerate(f.raw, start=1) if terms]
     side = 1 if all(i <= n1 for i in nonzero) else 2
     if side == 2 and any(i <= n1 for i in nonzero):
         raise TypeMismatch("disjoint-circle map uses both product factors")
-    kept = a.parts[0] if side == 1 else join(*a.parts[1:])
-    kept_obj = algebra_of(kept, f.rig)
-    sub = Morphism(kept_obj, f.target, f.raw[:n1] if side == 1 else f.raw[n1:])
-    e = _decompose_flat(sub)
-    return Compose(e, Proj(a, side))
+    kept, raw = (t1_obj, f.raw[:n1]) if side == 1 else (t2_obj, f.raw[n1:])
+    e = _decompose_flat(Morphism(kept, f.target, raw))
+    return Compose(e, Proj(f.source.cotree, side))
 
 
 def _tensor_split_source(f: Morphism) -> GenExpr:

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .rig import Rig, psi
 from .cograph import Graph, is_independent, mask_key
-from .cotree import K, W, factors, join, leaves, n_join, n_tensor, tensor
+from .cotree import K, W, factors, format_cotree, join, leaves, n_join, n_tensor, tensor
 from .weilalg import (
     Polynomial,
     WeilObject,
@@ -133,8 +133,6 @@ class Morphism:
         return not any(self.raw)
 
     def __repr__(self) -> str:
-        from .cotree import format_cotree
-
         clauses = "; ".join(
             f"x{i} |-> {format_poly(p)}" for i, p in enumerate(self.images, start=1)
         )
@@ -163,11 +161,6 @@ def make(source: WeilObject, target: WeilObject, images, check: bool = True) -> 
     if check:
         _check_relations(f)
     return f
-
-
-def validate(source: WeilObject, target: WeilObject, images) -> Morphism:
-    """Check the relation conditions and return the validated morphism."""
-    return make(source, target, images, check=True)
 
 
 def _check_relations(f: Morphism) -> None:
@@ -250,12 +243,12 @@ def projection(prod: WeilObject, side: int) -> Morphism:
     """Product projection: keep one side's generators, kill the other's."""
     t = prod.cotree
     if t.kind != "join":
-        raise TypeMismatch(f"projection needs a product object, got {t!r}")
+        raise TypeMismatch(f"projection needs a product object, got {format_cotree(t)}")
     if side not in (1, 2):
-        raise ValueError("side must be 1 or 2")
-    left = algebra_of(t.parts[0], prod.rig)
-    right = algebra_of(join(*t.parts[1:]), prod.rig)
-    return pair_projections(prod, 0, left, right)[side - 1]
+        raise TypeMismatch("side must be 1 or 2")
+    _, _, _, t1, t2, s1, s2 = split_layout(prod)
+    splice, kept = (s1, t1) if side == 1 else (s2, t2)
+    return compose_restriction(splice, kept, identity(prod))
 
 
 class Splice(namedtuple("Splice", "at width")):
@@ -290,11 +283,6 @@ def compose_restriction(splice: Splice, target: WeilObject, f: Morphism) -> Morp
                 kept.append((m & low | m >> w & ~low, c))
         images.append(intern_image(tuple(kept)))
     return Morphism(f.source, target, tuple(images))
-
-
-def pair(f1: Morphism, f2: Morphism) -> Morphism:
-    """The induced map into the plain product of the two targets."""
-    return pair_into(f1, f2, at=0)
 
 
 def pair_into(f1: Morphism, f2: Morphism, at: int = 0, k1: int = 1, k2: int = 1) -> Morphism:
@@ -373,14 +361,27 @@ def pair_layout(o1: WeilObject, o2: WeilObject, at: int, k1: int = 1, k2: int = 
     return algebra_of(target, o1.rig), Splice(np + nb1, nb2), Splice(np, nb1)
 
 
-def pair_projections(target: WeilObject, at: int, t1_obj: WeilObject, t2_obj: WeilObject,
-                     k1: int = 1, k2: int = 1) -> tuple[Morphism, Morphism]:
-    """The two context projections out of a pair_into target."""
-    merged, proj1, proj2 = pair_layout(t1_obj, t2_obj, at, k1, k2)
-    if merged != target:
-        raise TypeMismatch("projections requested for a mismatched pair target")
-    return (compose_restriction(proj1, t1_obj, identity(target)),
-            compose_restriction(proj2, t2_obj, identity(target)))
+@lru_cache(maxsize=None)
+def split_layout(obj: WeilObject):
+    """How ``obj`` splits at its first product factor, as the pair it is
+    built from: ``(at, k1, k2, t1, t2, s1, s2)`` such that
+    ``pair_layout(t1, t2, at, k1, k2)`` is ``(obj, s1, s2)``; None for a
+    flat tensor, which has no product factor."""
+    facts = factors(obj.cotree)
+    t = next((i for i, p in enumerate(facts, start=1) if p.kind == "join"), None)
+    if t is None:
+        return None
+    prod = facts[t - 1]
+    b1 = prod.parts[0]
+    b2 = join(*prod.parts[1:])
+    t1 = algebra_of(tensor(*facts[: t - 1], b1, *facts[t:]), obj.rig)
+    t2 = algebra_of(tensor(*facts[: t - 1], b2, *facts[t:]), obj.rig)
+    if len(facts) == 1:
+        at, k1, k2 = 0, 1, 1
+    else:
+        at, k1, k2 = t, len(factors(b1)), len(factors(b2))
+    _, s1, s2 = pair_layout(t1, t2, at, k1, k2)
+    return at, k1, k2, t1, t2, s1, s2
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +395,9 @@ def generators(rig: Rig = Rig.BOOL2) -> dict[str, Morphism]:
     return {
         "eps_W": eps(w),
         "eta_W": unit_map(w),
-        "plus_W": make(w2, w, [{1: 1}, {1: 1}], check=True),
-        "l_W": make(w, ww, [{0b11: 1}], check=True),
-        "c_W": make(ww, ww, [{0b10: 1}, {0b01: 1}], check=True),
+        "plus_W": make(w2, w, [{1: 1}, {1: 1}]),
+        "l_W": make(w, ww, [{0b11: 1}]),
+        "c_W": make(ww, ww, [{0b10: 1}, {0b01: 1}]),
     }
 
 
@@ -435,7 +436,7 @@ def from_kleisli(m: KleisliMap, a: WeilObject, b: WeilObject) -> Morphism:
     if a.graph != m.source or b.graph != m.target:
         raise TypeMismatch("kleisli map does not match the given objects")
     images = [{mask: 1 for mask in cl} for cl in m.assignment]
-    return make(a, b, images, check=True)
+    return make(a, b, images)
 
 
 def kleisli_identity(g: Graph) -> KleisliMap:
@@ -487,7 +488,7 @@ def lift_to_nat(f: Morphism) -> Morphism:
     src = algebra_of(f.source.cotree, Rig.NAT)
     tgt = algebra_of(f.target.cotree, Rig.NAT)
     images = [dict(terms) for terms in f.raw]
-    return make(src, tgt, images, check=True)
+    return make(src, tgt, images)
 
 
 def project_to_bool2(f: Morphism) -> Morphism:
@@ -495,4 +496,4 @@ def project_to_bool2(f: Morphism) -> Morphism:
     src = algebra_of(f.source.cotree, Rig.BOOL2)
     tgt = algebra_of(f.target.cotree, Rig.BOOL2)
     images = [{mask: psi(c) for mask, c in terms} for terms in f.raw]
-    return make(src, tgt, images, check=True)
+    return make(src, tgt, images)

@@ -40,7 +40,7 @@ from .cotree import (
 from .weilalg import WeilObject, algebra_of, dict_mul, poly_trusted
 from . import morphism as mor
 from .morphism import Morphism, RigMismatch, TypeMismatch
-from .genexpr import SlotAssignment, circles_of, slot_cotree
+from .genexpr import SlotAssignment, circles_of, evaluate, recombiner_expr, slot_cotree
 
 
 # enumerate_hom refuses, with TooLarge, more candidate assignments than this
@@ -260,13 +260,13 @@ def _plus_times_id(rig: Rig) -> Morphism:
     """(+ x id): W^3 -> W^2."""
     w3 = algebra_of(n_join(3), rig)
     w2 = algebra_of(n_join(2), rig)
-    return mor.make(w3, w2, [{0b01: 1}, {0b01: 1}, {0b10: 1}], check=True)
+    return mor.make(w3, w2, [{0b01: 1}, {0b01: 1}, {0b10: 1}])
 
 
 def _id_times_plus(rig: Rig) -> Morphism:
     w3 = algebra_of(n_join(3), rig)
     w2 = algebra_of(n_join(2), rig)
-    return mor.make(w3, w2, [{0b01: 1}, {0b10: 1}, {0b10: 1}], check=True)
+    return mor.make(w3, w2, [{0b01: 1}, {0b10: 1}, {0b10: 1}])
 
 
 def check_tangent_axioms(max_vertices: int = 2) -> AxiomReport:
@@ -299,7 +299,7 @@ def _core_axioms(rig: Rig) -> list[AxiomResult]:
     # additive bundle laws, tensored at every small object
     pi1 = mor.projection(algebra_of(n_join(2), rig), 1)
     pi2 = mor.projection(algebra_of(n_join(2), rig), 2)
-    unit_section = mor.pair(mor.compose(eta_w, eps_w), idw)
+    unit_section = mor.pair_into(mor.compose(eta_w, eps_w), idw)
     for obj in test_objects:
         name = format_cotree(obj.cotree)
         p_a = _component(eps_w, obj)
@@ -411,7 +411,7 @@ def vertical_lift_equalizer_map(rig: Rig = Rig.BOOL2) -> Morphism:
     """v : W^2 -> 2W, x1 -> y1 y2, x2 -> y2."""
     w2 = algebra_of(n_join(2), rig)
     ww = algebra_of(n_tensor(2), rig)
-    return mor.make(w2, ww, [{0b11: 1}, {0b10: 1}], check=True)
+    return mor.make(w2, ww, [{0b11: 1}, {0b10: 1}])
 
 
 # W (x) eps and eta . (eps (x) eps), the two arrows 2W -> W that v equalizes,
@@ -645,20 +645,6 @@ def _kappa_morphism(x: WeilObject, obj: WeilObject, ip: DerivedGraph, cands: lis
 
 
 # ---------------------------------------------------------------------------
-# plus towers (used by the coherence witnesses)
-
-def plus_tower(counts: tuple[int, ...], rig: Rig = Rig.BOOL2) -> Morphism:
-    """The tensor of m-ary additions: (W^{m_1} (x) ... (x) W^{m_n}) -> nW,
-    sending every slot generator of block j to target generator j."""
-    src = algebra_of(tensor(*[n_join(m) for m in counts]), rig)
-    tgt = algebra_of(n_tensor(len(counts)), rig)
-    images = []
-    for j, m in enumerate(counts, start=1):
-        images.extend([{1 << (j - 1): 1}] * m)
-    return mor.make(src, tgt, images, check=True)
-
-
-# ---------------------------------------------------------------------------
 # the coherence morphism for composites into nW
 
 def omega_witness(f: Morphism, g: Morphism, resolve: str = "strict"):
@@ -713,7 +699,7 @@ def omega_witness(f: Morphism, g: Morphism, resolve: str = "strict"):
 
     def build(chosen: dict[tuple[int, int], dict[int, int]]) -> Morphism:
         images = [{1 << (chosen[i, m][j] - 1): 1} for i, m, j in ha.slots]
-        return mor.make(src, tgt, images, check=True)
+        return mor.make(src, tgt, images)
 
     if resolve == "strict":
         return build({c: asgn[0] for c, asgn in circle_options})
@@ -750,8 +736,8 @@ def omega_squares_commute(f: Morphism, g: Morphism, omega: Morphism) -> bool:
     h = mor.compose(g, f)
     ha = SlotAssignment(h)
     ga = SlotAssignment(g)
-    plus_alpha = plus_tower(ha.counts, f.rig)
-    plus_beta = plus_tower(ga.counts, f.rig)
+    plus_alpha = evaluate(recombiner_expr(ha.counts), f.rig)
+    plus_beta = evaluate(recombiner_expr(ga.counts), f.rig)
     if mor.compose(plus_beta, omega) != plus_alpha:
         return False
     if mor.compose(omega, ha.lift()) != mor.compose(ga.lift(), f):
@@ -837,15 +823,15 @@ def gamma_witness(f: Morphism, g: Morphism) -> Morphism:
             out_mask |= 1 << (ha.slot_of[a, u_mask, bit.bit_length()] - 1)
             cover ^= bit
         images.append({out_mask: 1})
-    return mor.make(src, tgt, images, check=True)
+    return mor.make(src, tgt, images)
 
 
 def gamma_squares_commute(f: Morphism, g: Morphism, gamma: Morphism) -> bool:
     h = mor.compose(g, f)
     fa = SlotAssignment(f)
     ha = SlotAssignment(h)
-    plus_gamma = plus_tower(fa.counts, f.rig)
-    plus_alpha = plus_tower(ha.counts, f.rig)
+    plus_gamma = evaluate(recombiner_expr(fa.counts), f.rig)
+    plus_alpha = evaluate(recombiner_expr(ha.counts), f.rig)
     if mor.compose(plus_alpha, gamma) != mor.compose(g, plus_gamma):
         return False
     return mor.compose(gamma, fa.lift()) == ha.lift()

@@ -190,6 +190,14 @@ def test_cli_validate_failure_exit_code(capsys):
     assert code == 2 and "non-zero" in err
 
 
+def test_cli_evaluate_ill_typed_names_the_node(capsys):
+    # the callee's own type error surfaces, located at the node that raised it
+    for text in ("proj(W, 1)", "comp(plus, l)", "proj(W^2, 3)"):
+        code, out, err = run_cli(capsys, "evaluate", text)
+        assert code == 2 and out == "", text
+        assert err.rstrip("\n").endswith(f"at {text}"), (text, err)
+
+
 def test_cli_syntax_error_exit_code(capsys):
     # a digit that is not decimal (int() refuses it) is a syntax error too
     for text in ("W^", "W^²", "2²W", "f : W -> W ; x1 |-> ²y1"):

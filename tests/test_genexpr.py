@@ -50,11 +50,11 @@ def test_evaluate_ill_typed():
 def test_decompose_one_circle_examples():
     # W -> 5W, x -> x1 x3 x4
     target = wa.algebra_of(ct.n_tensor(5), B2)
-    f = mor.validate(W, target, [{0b01101: 1}])
+    f = mor.make(W, target, [{0b01101: 1}])
     e = ge.one_circle_expr(target.cotree, 0b01101)
     assert ge.evaluate(e, B2) == f
     # x -> x2 comes out as (eta (x) W) . id
-    g = mor.validate(W, WW, [{0b10: 1}])
+    g = mor.make(W, WW, [{0b10: 1}])
     e2 = ge.one_circle_expr(WW.cotree, 0b10)
     assert e2 == ge.Compose(ge.Tensor(ge.Eta, ge.Id(ct.W)), ge.Id(ct.W))
     assert ge.evaluate(e2, B2) == g
@@ -68,19 +68,39 @@ def test_choice_rule_slot_example():
     # slot used once: x1 -> y1 y3 + y2 y5, x2 -> y4 y6
     src = wa.algebra_of(ct.n_tensor(2), B2)
     tgt = wa.algebra_of(ct.n_tensor(3), B2)
-    f = mor.validate(src, tgt, [{0b011: 1, 0b101: 1}, {0b110: 1}])
+    f = mor.make(src, tgt, [{0b011: 1, 0b101: 1}, {0b110: 1}])
     assignment = ge.SlotAssignment(f)
     assert assignment.counts == (2, 2, 2)
     lifted = assignment.lift()
     assert lifted.target.cotree == ct.tensor(ct.n_join(2), ct.n_join(2), ct.n_join(2))
     assert lifted.image(1) == wa.poly(lifted.target, {0b000101: 1, 0b010010: 1})
     assert lifted.image(2) == wa.poly(lifted.target, {0b101000: 1})
-    recombined = mor.compose(ge.evaluate(ge._recombiner_expr(assignment.counts), B2), lifted)
+    recombined = mor.compose(ge.evaluate(ge.recombiner_expr(assignment.counts), B2), lifted)
     assert recombined == f
 
 
+def _plus_tower(counts, rig):
+    """Oracle: the tensor of m-ary additions built directly, sending every
+    slot generator of block j to target generator j."""
+    src = wa.algebra_of(ct.tensor(*[ct.n_join(m) for m in counts]), rig)
+    tgt = wa.algebra_of(ct.n_tensor(len(counts)), rig)
+    images = []
+    for j, m in enumerate(counts, start=1):
+        images.extend([{1 << (j - 1): 1}] * m)
+    return mor.make(src, tgt, images)
+
+
+@pytest.mark.parametrize("rig", [B2, NAT])
+def test_recombiner_expr_is_the_plus_tower(rig):
+    # every counts tuple of length 0-3 with entries 0-3, the empty one included
+    cases = [c for n in range(4) for c in itertools.product(range(4), repeat=n)]
+    assert len(cases) == 85
+    for counts in cases:
+        assert ge.evaluate(ge.recombiner_expr(counts), rig) == _plus_tower(counts, rig), counts
+
+
 def test_choice_rule_one_circle_is_trivial():
-    f = mor.validate(W, WW, [{0b11: 1}])
+    f = mor.make(W, WW, [{0b11: 1}])
     assignment = ge.SlotAssignment(f)
     assert assignment.counts == (1, 1)
     assert assignment.lift() == f
@@ -161,8 +181,8 @@ def test_decompose_nat_inserts_ghat():
 def test_decompose_deterministic():
     src = wa.algebra_of(ct.n_tensor(2), B2)
     tgt = wa.algebra_of(ct.n_tensor(3), B2)
-    f1 = mor.validate(src, tgt, [{0b011: 1, 0b110: 1}, {0b001: 1, 0b101: 1}])
-    f2 = mor.validate(src, tgt, [{0b110: 1, 0b011: 1}, {0b101: 1, 0b001: 1}])
+    f1 = mor.make(src, tgt, [{0b011: 1, 0b110: 1}, {0b001: 1, 0b101: 1}])
+    f2 = mor.make(src, tgt, [{0b110: 1, 0b011: 1}, {0b101: 1, 0b001: 1}])
     assert f1 == f2
     assert ge.decompose(f1) == ge.decompose(f2)
     assert ge.format_genexpr(ge.decompose(f1)) == ge.format_genexpr(ge.decompose(f2))
@@ -223,7 +243,7 @@ def test_trace_is_full_after_untraced_decompose():
     assert {x for x in _nodes(e) if isinstance(x, ge.Ghat)} == {ge.Ghat(2), ge.Ghat(3)}
     assert isinstance(e, ge.Pair) and (e.at, e.k1, e.k2) == (2, 1, 2)
     for half, counts in ((e.e1, (1, 1)), (e.e2, (1, 1, 1))):
-        assert isinstance(half, ge.Compose) and half.outer is ge._recombiner_expr(counts)
+        assert isinstance(half, ge.Compose) and half.outer is ge.recombiner_expr(counts)
     assert ge.decompose(f) is e
     assert ge.evaluate(e, NAT) == f
 
@@ -294,7 +314,7 @@ def test_nodes_are_interned():
     assert ge.Pair(a, b) is ge.Pair(a, b, 0, 1, 1)
     assert ge.Pair(a, b) is not ge.Pair(a, b, 1, 1, 1)
     assert ge.Id(ct.n_join(2)) is ge.Id(ct.join(ct.W, ct.W))
-    f = mor.validate(WW, wa.algebra_of(ct.n_tensor(3), B2), [{0b011: 1, 0b110: 1}, {0b001: 1}])
+    f = mor.make(WW, wa.algebra_of(ct.n_tensor(3), B2), [{0b011: 1, 0b110: 1}, {0b001: 1}])
     e = ge.decompose(f)
     assert ge.decompose(f) is e
 
@@ -358,7 +378,7 @@ def test_serialization_round_trip():
     ]
     src = wa.algebra_of(ct.n_tensor(2), B2)
     tgt = wa.algebra_of(ct.n_tensor(3), B2)
-    exprs.append(ge.decompose(mor.validate(src, tgt, [{0b011: 1, 0b110: 1}, {0b001: 1, 0b101: 1}])))
+    exprs.append(ge.decompose(mor.make(src, tgt, [{0b011: 1, 0b110: 1}, {0b001: 1, 0b101: 1}])))
     for f in _random_nat_morphisms(10, seed=3):
         exprs.append(ge.decompose(f))
     for e in exprs:

@@ -11,6 +11,8 @@ from weil1 import morphism as mor
 from weil1 import weilalg as wa
 from weil1.verify import canonical_objects, enumerate_hom
 
+from conftest import layout_projections
+
 
 B2, NAT = Rig.BOOL2, Rig.NAT
 W = wa.algebra_of(ct.W, B2)
@@ -22,20 +24,20 @@ GENS = mor.generators(B2)
 
 
 def test_validate_two_generator_example():
-    f = mor.validate(WW, WWW, [{0b011: 1, 0b110: 1}, {0b001: 1, 0b101: 1}])
+    f = mor.make(WW, WWW, [{0b011: 1, 0b110: 1}, {0b001: 1, 0b101: 1}])
     assert f.image(1).terms == ((0b011, 1), (0b110, 1))
 
 
 def test_validate_rejects_disjoint_circles_same_generator():
     with pytest.raises(mor.RelationViolation) as err:
-        mor.validate(W, WW, [{0b01: 1, 0b10: 1}])
+        mor.make(W, WW, [{0b01: 1, 0b10: 1}])
     assert (err.value.i, err.value.j) == (1, 1)
     assert err.value.witness == wa.poly(WW, {0b11: 1})
     # over NAT the witness keeps its coefficient 2
     w_nat = wa.algebra_of(ct.W, NAT)
     ww_nat = wa.algebra_of(ct.n_tensor(2), NAT)
     with pytest.raises(mor.RelationViolation) as err:
-        mor.validate(w_nat, ww_nat, [{0b01: 1, 0b10: 1}])
+        mor.make(w_nat, ww_nat, [{0b01: 1, 0b10: 1}])
     assert err.value.witness == wa.poly(ww_nat, {0b11: 2})
 
 
@@ -54,16 +56,16 @@ def test_make_refuses_a_constant_image_by_its_square():
 
 
 def test_validate_zero_map_to_base():
-    f = mor.validate(W, K, [{}])
+    f = mor.make(W, K, [{}])
     assert f.is_zero_map()
 
 
 def test_validate_edge_condition():
     # x1, x2 joined in the source must have annihilating images
     with pytest.raises(mor.RelationViolation) as err:
-        mor.validate(W2, WW, [{0b01: 1}, {0b10: 1}])
+        mor.make(W2, WW, [{0b01: 1}, {0b10: 1}])
     assert (err.value.i, err.value.j) == (1, 2)
-    mor.validate(W2, WW, [{0b01: 1}, {0b01: 1}])  # shared vertex: fine
+    mor.make(W2, WW, [{0b01: 1}, {0b01: 1}])  # shared vertex: fine
 
 
 def test_compose_lift_ladder():
@@ -75,14 +77,14 @@ def test_compose_lift_ladder():
 
 
 def test_compose_identity_laws():
-    f = mor.validate(WW, WWW, [{0b011: 1, 0b110: 1}, {0b001: 1, 0b101: 1}])
+    f = mor.make(WW, WWW, [{0b011: 1, 0b110: 1}, {0b001: 1, 0b101: 1}])
     assert mor.compose(mor.identity(WWW), f) == f
     assert mor.compose(f, mor.identity(WW)) == f
 
 
 def test_compose_fold_after_lift_is_zero():
     # the map 2W -> W sending both generators to x, after the lift
-    fold = mor.validate(WW, W, [{1: 1}, {1: 1}])
+    fold = mor.make(WW, W, [{1: 1}, {1: 1}])
     z = mor.compose(fold, GENS["l_W"])
     assert z.is_zero_map()
 
@@ -102,7 +104,7 @@ def test_projection_examples():
 
 
 def test_pair_diagonal():
-    delta = mor.pair(mor.identity(W), mor.identity(W))
+    delta = mor.pair_into(mor.identity(W), mor.identity(W))
     assert delta.target == W2
     assert delta.image(1) == wa.poly(W2, {0b01: 1, 0b10: 1})
 
@@ -154,8 +156,8 @@ def test_pair_into_context():
 
 def test_pair_into_incompatible():
     # shared-context parts disagree: no pairing exists
-    f1 = mor.validate(W, WW, [{0b01: 1}])   # x -> y1 (the context part)
-    f2 = mor.validate(W, WW, [{}])
+    f1 = mor.make(W, WW, [{0b01: 1}])   # x -> y1 (the context part)
+    f2 = mor.make(W, WW, [{}])
     with pytest.raises(mor.TypeMismatch, match="shared context"):
         mor.pair_into(f1, f2, at=2)
 
@@ -169,7 +171,7 @@ def test_compose_restriction_matches_compose():
     assert target == wa.algebra_of(ct.tensor(ct.W, ct.join(ct.W, ct.n_tensor(2))), B2)
     assert (s1, s2) == (mor.Splice(2, 2), mor.Splice(1, 1))
     assert (s2.project(0b1101), s2.project(0b0011)) == (0b111, 0)
-    projs = mor.pair_projections(target, 2, t1, t2, 1, 2)
+    projs = layout_projections(t1, t2, 2, 1, 2)
     for src in (W, W2):
         for f in enumerate_hom(src, target):
             for s, p, t in zip((s1, s2), projs, (t1, t2)):
@@ -188,6 +190,20 @@ def test_plain_pair_layout_is_the_empty_context_block_pair(rig):
         n1, n2 = ct.leaves(t1), ct.leaves(t2)
         want = (wa.algebra_of(ct.join(t1, t2), rig), mor.Splice(n1, n2), mor.Splice(0, n1))
         assert layout == want, (o1, o2)
+
+
+@pytest.mark.parametrize("rig", [B2, NAT])
+def test_split_layout_pairs_back(rig):
+    # an object with an edge is the pair target of its split, with the same
+    # two splices; the split is the plain product exactly at a product root
+    for t in canonical_objects(4):
+        obj = wa.algebra_of(t, rig)
+        split = mor.split_layout(obj)
+        assert (split is None) == (not obj.graph.edges), t
+        if split is not None:
+            at, k1, k2, t1, t2, s1, s2 = split
+            assert mor.pair_layout(t1, t2, at, k1, k2) == (obj, s1, s2), t
+            assert (at == 0) == (t.kind == "join"), t
 
 
 def _reference_restriction(source, target, gen_map):
@@ -263,7 +279,7 @@ def test_pair_layout_projection_tables_match_checked_restrictions(rig):
                 target, obj, {bit.bit_length(): i + 1 for i, bit in enumerate(emb)})
             assert _table_of(ref) == table, (o1, o2, at, k1, k2)
             refs.append(ref)
-        projs = mor.pair_projections(target, at, o1, o2, k1, k2)
+        projs = layout_projections(o1, o2, at, k1, k2)
         assert projs == tuple(refs), (o1, o2, at, k1, k2)
         assert tuple(map(_table_of, projs)) == tuple(t for _, t in tables)
         count += 1
@@ -434,7 +450,7 @@ def test_pair_into_is_valid_and_projects_back():
 # Kleisli correspondence
 
 def test_to_kleisli_two_circle_example():
-    f = mor.validate(W, WWW, [{0b011: 1, 0b101: 1}])
+    f = mor.make(W, WWW, [{0b011: 1, 0b101: 1}])
     km = mor.to_kleisli(f)
     assert km.assignment == ((0b011, 0b101),)
 
@@ -481,7 +497,7 @@ def test_kleisli_category_laws():
 
 
 def test_nat_lift_project():
-    f = mor.validate(WW, WWW, [{0b011: 1, 0b110: 1}, {0b001: 1, 0b101: 1}])
+    f = mor.make(WW, WWW, [{0b011: 1, 0b110: 1}, {0b001: 1, 0b101: 1}])
     lifted = mor.lift_to_nat(f)
     assert lifted.rig is NAT
     assert mor.project_to_bool2(lifted) == f
@@ -496,8 +512,8 @@ def test_public_order_is_size_lex_on_every_route(rig):
     tgt = wa.algebra_of(ct.tensor(ct.W, ct.n_join(2)), rig)
     want = ((0b100, c3), (0b011, c12))
     made = mor.make(src, tgt, [{0b011: c12, 0b100: c3}])
-    p1, p2 = mor.pair_projections(tgt, 2, wa.algebra_of(ct.n_tensor(2), rig),
-                                  wa.algebra_of(ct.n_tensor(2), rig))
+    ww = wa.algebra_of(ct.n_tensor(2), rig)
+    p1, p2 = layout_projections(ww, ww, 2)
     routes = {
         "make from Polynomial": mor.make(src, tgt, [wa.poly(tgt, dict(want))]),
         "compose": mor.compose(mor.identity(tgt), made),
@@ -525,7 +541,7 @@ def test_images_are_interned_on_every_route(rig):
     www = wa.algebra_of(ct.n_tensor(3), rig)
     ctx = wa.algebra_of(ct.tensor(ct.W, ct.n_join(2)), rig)
     made = mor.make(w, www, [{0b101: c}])
-    p1, _ = mor.pair_projections(ctx, 2, ww, ww)
+    p1, _ = layout_projections(ww, ww, 2)
     both = mor.make(w, ww, [{0b11: c}])
     lifted = ge.SlotAssignment(mor.make(ww, ww, [{0b01: c, 0b11: 1}, {0b10: 1}])).lift()
     routes = {

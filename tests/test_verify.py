@@ -11,9 +11,12 @@ import pytest
 from weil1.rig import Rig
 from weil1 import cograph as cg
 from weil1 import cotree as ct
+from weil1 import genexpr as ge
 from weil1 import morphism as mor
 from weil1 import verify as vf
 from weil1 import weilalg as wa
+
+from conftest import layout_projections
 
 
 B2, NAT = Rig.BOOL2, Rig.NAT
@@ -37,7 +40,7 @@ def brute_force_hom(a, b):
     out = []
     for choice in itertools.product(subsets, repeat=a.n):
         try:
-            out.append(mor.validate(a, b, [dict(c) for c in choice]))
+            out.append(mor.make(a, b, [dict(c) for c in choice]))
         except mor.RelationViolation:
             continue
     return set(out)
@@ -321,7 +324,7 @@ def reference_pullback(b, a1, a2, apex_max=2, cone_budget=200_000, sample=20_000
         at, k1, k2 = 0, 1, 1
     else:
         at, k1, k2 = len(ct.factors(b)) + 1, len(ct.factors(a1)), len(ct.factors(a2))
-    proj1, proj2 = mor.pair_projections(p_obj, at, t1_obj, t2_obj, k1, k2)
+    proj1, proj2 = layout_projections(t1_obj, t2_obj, at, k1, k2)
     # kappa_candidates' labels, past its ind+ guard: cliques of ind+ in canonical order
     ip_p = cg.ind_plus(p_obj.graph)
     cand_p = [tuple((ip_p.labels[v - 1], 1) for v in cg.vertices_of(c))
@@ -581,7 +584,7 @@ def test_omega_identity_case():
 
 
 def test_omega_zero_composite_case():
-    fold = mor.validate(WW, W, [{1: 1}, {1: 1}])
+    fold = mor.make(WW, W, [{1: 1}, {1: 1}])
     om = vf.omega_witness(GENS["l_W"], fold)
     assert om.source.cotree == ct.K  # all slot counts vanish
     assert vf.omega_squares_commute(GENS["l_W"], fold, om)
@@ -592,19 +595,18 @@ def test_omega_ambiguous_tracings():
     # z of the composite can be traced through either term, the two tracings
     # give different slot generators, and no generator-to-generator map can
     # make the second square commute (the fold collapsed 1 + 1 to 1).
-    f = mor.validate(W, W2, [{0b01: 1, 0b10: 1}])
-    g = mor.validate(W2, W, [{1: 1}, {1: 1}])
+    f = mor.make(W, W2, [{0b01: 1, 0b10: 1}])
+    g = mor.make(W2, W, [{1: 1}, {1: 1}])
     with pytest.raises(vf.ChoiceAmbiguous):
         vf.omega_witness(f, g)
     resolutions = vf.omega_witness(f, g, resolve="all")
     assert len(resolutions) == 2
     h = mor.compose(g, f)
-    from weil1.genexpr import SlotAssignment
-
-    ha, ga = SlotAssignment(h), SlotAssignment(g)
+    ha, ga = ge.SlotAssignment(h), ge.SlotAssignment(g)
     for om in resolutions:
         # the addition square and the blockwise shape hold for every tracing
-        assert mor.compose(vf.plus_tower(ga.counts), om) == vf.plus_tower(ha.counts)
+        assert (mor.compose(ge.evaluate(ge.recombiner_expr(ga.counts)), om)
+                == ge.evaluate(ge.recombiner_expr(ha.counts)))
         assert vf._blockwise(om, ha.counts, ga.counts)
         # but the lift square is obstructed
         assert mor.compose(om, ha.lift()) != mor.compose(ga.lift(), f)
@@ -646,7 +648,7 @@ def test_omega_random_sweep():
 
 def test_gamma_identity_case():
     g = mor.identity(WW)
-    f = mor.validate(W, WW, [{0b01: 1, 0b11: 1}])
+    f = mor.make(W, WW, [{0b01: 1, 0b11: 1}])
     gamma = vf.gamma_witness(f, g)
     assert vf.gamma_squares_commute(f, g, gamma)
 
@@ -661,7 +663,7 @@ def test_gamma_duplicates_slots():
     # two circles through the single generator of W: the lift of g = l has
     # two slots per target generator and gamma copies each source slot to
     # the matching slot pair
-    f = mor.validate(WW, W, [{1: 1}, {1: 1}])
+    f = mor.make(WW, W, [{1: 1}, {1: 1}])
     gamma = vf.gamma_witness(f, GENS["l_W"])
     assert gamma.source.cotree == ct.n_join(2)
     assert gamma.target.cotree == ct.tensor(ct.n_join(2), ct.n_join(2))
@@ -712,7 +714,7 @@ def test_gamma_random_sweep():
 # fullness
 
 def test_nat_fullness_examples():
-    f = mor.validate(WW, wa.algebra_of(ct.n_tensor(3), B2),
+    f = mor.make(WW, wa.algebra_of(ct.n_tensor(3), B2),
                      [{0b011: 1, 0b110: 1}, {0b001: 1, 0b101: 1}])
     assert vf.check_nat_fullness(f)
     assert vf.check_nat_fullness(mor.zero_map(W, WW))
