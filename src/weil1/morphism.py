@@ -267,21 +267,38 @@ class Splice(namedtuple("Splice", "at width")):
         return 0 if mask >> at & ((1 << w) - 1) else mask & low | mask >> w & ~low
 
 
+# Per-image tables of the two splice kernels: a sweep restricts and pairs a
+# few thousand distinct images hundreds of thousands of times.  Keys are the
+# image tuples' values, not their ids, so a key stays right for a Morphism
+# built from fresh, un-interned tuples.  Like ``weilalg._IMAGES`` they grow
+# with the distinct images and have no bound.  Only ``pair_into`` fills
+# ``_PAIRED``, after its shared-context check passes, so the round trip's
+# check of a split still glues afresh.
+_RESTRICTED: dict[Splice, dict[tuple, tuple]] = {}
+_PAIRED: dict[tuple[Splice, Splice], dict[tuple, tuple]] = {}
+
+
 def compose_restriction(splice: Splice, target: WeilObject, f: Morphism) -> Morphism:
     """Compose the restriction ``splice`` after ``f``.
 
     A monomial survives only when it misses the killed block, and distinct
     survivors stay distinct, so this is a plain mask remap; a splice keeps
     the mask order too, so its images need no sort."""
-    at, w = splice
-    low, block = (1 << at) - 1, ((1 << w) - 1) << at
+    table = _RESTRICTED.get(splice)
+    if table is None:
+        table = _RESTRICTED[splice] = {}
     images = []
     for terms in f.raw:
-        kept = []
-        for m, c in terms:
-            if not m & block:
-                kept.append((m & low | m >> w & ~low, c))
-        images.append(intern_image(tuple(kept)))
+        img = table.get(terms)
+        if img is None:
+            at, w = splice
+            low, block = (1 << at) - 1, ((1 << w) - 1) << at
+            kept = []
+            for m, c in terms:
+                if not m & block:
+                    kept.append((m & low | m >> w & ~low, c))
+            img = table[terms] = intern_image(tuple(kept))
+        images.append(img)
     return Morphism(f.source, target, tuple(images))
 
 
@@ -309,31 +326,37 @@ def pair_into(f1: Morphism, f2: Morphism, at: int = 0, k1: int = 1, k2: int = 1)
     if f1.rig is not f2.rig:
         raise TypeMismatch("pair requires matching rigs")
     target, proj1, proj2 = pair_layout(f1.target, f2.target, at, k1, k2)
-    # each side embeds by opening the block that its projection kills; f1's
-    # own block is its bits from at2 up to at1, and f2's the w1 bits from at2
-    (at1, w1), (at2, w2) = proj1, proj2
-    low1, low2 = (1 << at1) - 1, (1 << at2) - 1
-    block1, block2 = low1 ^ low2, ((1 << w1) - 1) << at2
+    table = _PAIRED.get((proj1, proj2))
+    if table is None:
+        table = _PAIRED[proj1, proj2] = {}
     images = []
-    for terms1, terms2 in zip(f1.raw, f2.raw):
-        out, ctx1, ctx2 = [], [], []
-        for m, c in terms1:
-            t = (m & low1 | (m & ~low1) << w1, c)
-            out.append(t)
-            if not m & block1:
-                ctx1.append(t)
-        for m, c in terms2:
-            t = (m & low2 | (m & ~low2) << w2, c)
-            if m & block2:
+    for key in zip(f1.raw, f2.raw):
+        img = table.get(key)
+        if img is None:
+            # each side embeds by opening the block that its projection
+            # kills; f1's own block is its bits from at2 up to at1, and f2's
+            # the w1 bits from at2
+            (at1, w1), (at2, w2) = proj1, proj2
+            low1, low2 = (1 << at1) - 1, (1 << at2) - 1
+            block1, block2 = low1 ^ low2, ((1 << w1) - 1) << at2
+            terms1, terms2 = key
+            out, ctx1, ctx2 = [], [], []
+            for m, c in terms1:
+                t = (m & low1 | (m & ~low1) << w1, c)
                 out.append(t)
-            else:
-                ctx2.append(t)
-        if ctx1 != ctx2:
-            raise TypeMismatch("pair components disagree over the shared context")
-        if at:
-            out.sort()
-        # at 0, f1's generators all come first: the terms are already in order
-        images.append(intern_image(tuple(out)))
+                if not m & block1:
+                    ctx1.append(t)
+            for m, c in terms2:
+                t = (m & low2 | (m & ~low2) << w2, c)
+                if m & block2:
+                    out.append(t)
+                else:
+                    ctx2.append(t)
+            if ctx1 != ctx2:
+                raise TypeMismatch("pair components disagree over the shared context")
+            out.sort()  # even at 0: the entry serves every layout with these splices
+            img = table[key] = intern_image(tuple(out))
+        images.append(img)
     return Morphism(f1.source, target, tuple(images))
 
 

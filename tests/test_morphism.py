@@ -23,12 +23,12 @@ K = wa.algebra_of(ct.K, B2)
 GENS = mor.generators(B2)
 
 
-def test_validate_two_generator_example():
+def test_make_two_generator_example():
     f = mor.make(WW, WWW, [{0b011: 1, 0b110: 1}, {0b001: 1, 0b101: 1}])
     assert f.image(1).terms == ((0b011, 1), (0b110, 1))
 
 
-def test_validate_rejects_disjoint_circles_same_generator():
+def test_make_rejects_disjoint_circles_same_generator():
     with pytest.raises(mor.RelationViolation) as err:
         mor.make(W, WW, [{0b01: 1, 0b10: 1}])
     assert (err.value.i, err.value.j) == (1, 1)
@@ -55,12 +55,12 @@ def test_make_refuses_a_constant_image_by_its_square():
         assert str(err.value).startswith("image of relation x1^2 = 0 is non-zero: 1 + ")
 
 
-def test_validate_zero_map_to_base():
+def test_make_zero_map_to_base():
     f = mor.make(W, K, [{}])
     assert f.is_zero_map()
 
 
-def test_validate_edge_condition():
+def test_make_edge_condition():
     # x1, x2 joined in the source must have annihilating images
     with pytest.raises(mor.RelationViolation) as err:
         mor.make(W2, WW, [{0b01: 1}, {0b10: 1}])
@@ -446,6 +446,169 @@ def test_pair_into_is_valid_and_projects_back():
     assert (layouts, paired, refused) == (34, 13_120, 2_784)
 
 
+
+def _oracle_restriction(splice, f):
+    """Oracle: ``compose_restriction``'s images by its two-shift loop, with
+    no table."""
+    at, w = splice
+    low, block = (1 << at) - 1, ((1 << w) - 1) << at
+    images = []
+    for terms in f.raw:
+        kept = []
+        for m, c in terms:
+            if not m & block:
+                kept.append((m & low | m >> w & ~low, c))
+        images.append(tuple(kept))
+    return tuple(images)
+
+
+def _oracle_pair(f1, f2, at=0, k1=1, k2=1):
+    """Oracle: ``pair_into``'s images by its two-shift loops, with no table;
+    None when the legs disagree over the shared context."""
+    _, (at1, w1), (at2, w2) = mor.pair_layout(f1.target, f2.target, at, k1, k2)
+    low1, low2 = (1 << at1) - 1, (1 << at2) - 1
+    block1, block2 = low1 ^ low2, ((1 << w1) - 1) << at2
+    images = []
+    for terms1, terms2 in zip(f1.raw, f2.raw):
+        out, ctx1, ctx2 = [], [], []
+        for m, c in terms1:
+            t = (m & low1 | (m & ~low1) << w1, c)
+            out.append(t)
+            if not m & block1:
+                ctx1.append(t)
+        for m, c in terms2:
+            t = (m & low2 | (m & ~low2) << w2, c)
+            if m & block2:
+                out.append(t)
+            else:
+                ctx2.append(t)
+        if ctx1 != ctx2:
+            return None
+        if at:
+            out.sort()
+        images.append(tuple(out))
+    return tuple(images)
+
+
+def _fresh(f):
+    """``f`` with every image an equal tuple that is not the interned one."""
+    return mor.Morphism(f.source, f.target, tuple(tuple(list(t)) for t in f.raw))
+
+
+def _splice_kernel_cases(rig):
+    """Every restriction ``(splice, side, f)`` and pairing ``(f1, f2, shape)``
+    over the pair layouts of objects with at most 2 vertices: every map from
+    an object with at most 2 vertices into a layout's target, restricted by
+    the layout's splices and by the target's ``split_layout`` splices, and
+    every two such maps into the layout's sides.  Over NAT the maps are the
+    lifts and seeded reweightings of the {0,1} maps, coefficients 1-3."""
+    rnd = random.Random(7)
+    objs = [wa.algebra_of(t, B2) for t in canonical_objects(2)]
+    homs = {}
+
+    def hom(a, b):
+        if (a, b) not in homs:
+            fs = enumerate_hom(a, b)
+            if rig is NAT:
+                fs = [mor.lift_to_nat(f) for f in fs]
+                fs += [mor.make(f.source, f.target,
+                                [{m: rnd.randint(1, 3) for m, _ in t} for t in f.raw])
+                       for f in fs]
+            homs[a, b] = fs
+        return homs[a, b]
+
+    def in_rig(obj):
+        return wa.algebra_of(obj.cotree, rig)
+
+    restrictions, pairings = [], []
+    for o1, o2 in itertools.product(objs, repeat=2):
+        for shape in _pair_shapes(o1, o2):
+            try:
+                target, s1, s2 = mor.pair_layout(o1, o2, *shape)
+            except mor.TypeMismatch:
+                continue
+            splices = [(s1, o1), (s2, o2)]
+            split = mor.split_layout(target)  # None when a side is K
+            if split is not None:
+                splices += [(split[5], split[3]), (split[6], split[4])]
+            for a in objs:
+                for f in hom(a, target):
+                    restrictions += [(s, in_rig(side), f) for s, side in splices]
+                for f1, f2 in itertools.product(hom(a, o1), hom(a, o2)):
+                    pairings.append((f1, f2, shape))
+    return restrictions, pairings
+
+
+@pytest.mark.parametrize("rig", [B2, NAT])
+def test_splice_kernel_tables_match_the_two_shift_loops(rig):
+    # compose_restriction and pair_into answer from per-image tables; each
+    # answer is the untabled loop's, read with the tables emptied, again
+    # warm, and for legs whose images are fresh copies of the stored keys
+    restrictions, pairings = _splice_kernel_cases(rig)
+    mor._RESTRICTED.clear()
+    mor._PAIRED.clear()
+    for fresh in (False, False, True):
+        for splice, side, f in restrictions:
+            got = mor.compose_restriction(splice, side, _fresh(f) if fresh else f)
+            assert got == mor.Morphism(f.source, side, _oracle_restriction(splice, f))
+            if fresh:
+                assert_interned(got, splice)
+        refused = 0
+        for f1, f2, shape in pairings:
+            want = _oracle_pair(f1, f2, *shape)
+            legs = (_fresh(f1), _fresh(f2)) if fresh else (f1, f2)
+            if want is None:
+                with pytest.raises(mor.TypeMismatch, match="shared context"):
+                    mor.pair_into(*legs, *shape)
+                refused += 1
+                continue
+            got = mor.pair_into(*legs, *shape)
+            assert got.raw == want, (f1, f2, shape)
+            if fresh:
+                assert_interned(got, shape)
+        assert 0 < refused < len(pairings)
+    counts = {B2: (51_808, 15_904), NAT: (103_616, 63_616)}
+    assert (len(restrictions), len(pairings)) == counts[rig]
+
+
+@pytest.mark.parametrize("rig", [B2, NAT])
+def test_refused_pairing_is_never_remembered(rig):
+    # legs that disagree over the shared context raise on every call and
+    # leave no entry; a valid pairing that reuses one of their images still
+    # glues by the loop
+    w, ww = wa.algebra_of(ct.W, rig), wa.algebra_of(ct.n_tensor(2), rig)
+    f1 = mor.make(w, ww, [{0b01: 1}])   # x -> y1 (the context part)
+    f2 = mor.make(w, ww, [{}])
+    _, s1, s2 = mor.pair_layout(ww, ww, 2)
+    stored = sum(map(len, mor._PAIRED.values()))
+    for _ in range(2):
+        with pytest.raises(mor.TypeMismatch, match="shared context"):
+            mor.pair_into(f1, f2, at=2)
+        assert (f1.raw[0], f2.raw[0]) not in mor._PAIRED.get((s1, s2), {})
+        assert sum(map(len, mor._PAIRED.values())) == stored
+    g = mor.make(w, ww, [{0b11: 1}])   # x -> y1 y2, no context part
+    for g1, g2 in ((f1, f1), (g, f2), (f2, g)):
+        assert mor.pair_into(g1, g2, at=2).raw == _oracle_pair(g1, g2, 2)
+
+
+def test_decompose_fills_no_pairing():
+    # the round trip's check glues each split afresh: decompose restricts
+    # through compose_restriction's tables but records no pairing, and
+    # evaluate, with its own cache emptied, fills the pair table
+    src = wa.algebra_of(ct.n_tensor(2), B2)
+    maps = enumerate_hom(src, wa.algebra_of(ct.join(ct.W, ct.n_tensor(2)), B2))
+    ge._MEMO.clear()
+    mor._RESTRICTED.clear()
+    mor._PAIRED.clear()
+    exprs = [ge.decompose(f) for f in maps]
+    assert mor._RESTRICTED and not mor._PAIRED
+    for cache in ge._EVAL_CACHE.values():
+        cache.clear()
+    for f, e in zip(maps, exprs):
+        assert ge.evaluate(e, B2) == f
+    assert mor._PAIRED
+
+
 # ---------------------------------------------------------------------------
 # Kleisli correspondence
 
@@ -560,7 +723,7 @@ def test_images_are_interned_on_every_route(rig):
     for route, f in routes.items():
         assert any(f.raw), route
         assert_interned(f, route)
-        twin = mor.Morphism(f.source, f.target, tuple(tuple(list(t)) for t in f.raw))
+        twin = _fresh(f)
         assert any(a is not b for a, b in zip(twin.raw, f.raw) if a), route
         assert twin == f and hash(twin) == hash(f), route
         assert twin.images == f.images and repr(twin) == repr(f), route
