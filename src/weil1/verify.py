@@ -25,14 +25,15 @@ can report each one at once; ``run_verify`` collects them into one report.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, combinations, product
 from math import prod
+from operator import and_
 
 from .rig import Rig
 from .cograph import (
-    IND_PLUS_GUARD, DerivedGraph, Graph, NotACograph, TooLarge, cliques, format_mask, graph,
-    ind_plus, kappa_labels, vertices_of,
+    IND_PLUS_GUARD, DerivedGraph, Graph, NotACograph, TooLarge, _clique_labels, cliques,
+    format_mask, graph, ind_plus, kappa_labels, vertices_of,
 )
 from .cotree import (
     Cotree, K, W, cotree_decompose, factors, format_cotree, leaves, n_join, n_tensor, realize, tensor,
@@ -43,7 +44,8 @@ from .morphism import Morphism, RigMismatch, TypeMismatch
 from .genexpr import SlotAssignment, circles_of, evaluate, recombiner_expr, slot_cotree
 
 
-# enumerate_hom refuses, with TooLarge, more candidate assignments than this
+# the search for maps into kappa (enumerate_hom, count_graph_maps) refuses,
+# with TooLarge, more candidate assignments than this
 HOM_ASSIGNMENTS = 2_000_000
 # the pullback check refuses, with TooLarge, a P whose ind+ has more vertices
 # than this, or more kappa vertices than PULLBACK_CANDIDATES; the largest
@@ -78,66 +80,80 @@ def kappa_candidates(t: Cotree) -> tuple[tuple[tuple[int, int], ...], ...]:
 def enumerate_hom(a: Cotree | WeilObject, b: Cotree | WeilObject) -> tuple[Morphism, ...]:
     """All morphisms a -> b over {0,1}, in canonical order.
 
-    Per-generator candidates are the subsets of ind+(G_b) whose image squares
-    to zero (exactly the cliques); a generator then takes the candidates whose
-    real polynomial product with each earlier neighbour's choice is zero, read
-    from one bit row per candidate.  More than ``HOM_ASSIGNMENTS`` candidate
-    assignments raise TooLarge.
+    The candidates of a generator are the subsets of ind+(G_b) whose image
+    squares to zero (exactly the cliques); two are compatible when their real
+    polynomial product is zero.  The search, and its budget, is ``_search``.
     """
     src = a if isinstance(a, WeilObject) else algebra_of(a, Rig.BOOL2)
     tgt = b if isinstance(b, WeilObject) else algebra_of(b, Rig.BOOL2)
     if src.rig is not Rig.BOOL2 or tgt.rig is not Rig.BOOL2:
         raise RigMismatch("hom enumeration is defined over the {0,1} rig")
-    cands = hom_candidates(src, tgt)
-    n = src.n
-    earlier = [[] for _ in range(n)]
-    for u, v in src.graph.edges:
-        earlier[v - 1].append(u - 1)
-    out: list[Morphism] = []
+    cands = kappa_candidates(tgt.cotree)
     dicts = [dict(terms) for terms in cands]
     raws = [poly_trusted(d) for d in dicts]
-    # zero[c]: the candidates whose product with candidate c is zero
-    zero = [sum(1 << d for d, dd in enumerate(dicts) if not dict_mul(dc, dd, tgt))
-            for dc in dicts] if any(earlier) else None
+
+    def zero_rows():
+        return [sum(1 << d for d, dd in enumerate(dicts) if not dict_mul(dc, dd, tgt))
+                for dc in dicts]
+
+    return tuple(_search(src.graph, len(cands), zero_rows,
+                         lambda choice: Morphism(src, tgt, tuple(raws[c] for c in choice))))
+
+
+def hom_candidates(src: WeilObject, tgt: WeilObject) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The candidate images of one generator, after refusing with TooLarge a
+    hom-set that ``enumerate_hom`` would refuse."""
+    cands = kappa_candidates(tgt.cotree)
+    _check_budget(len(cands), src.n)
+    return cands
+
+
+def _check_budget(count: int, n: int) -> None:
+    if count ** max(n, 1) > HOM_ASSIGNMENTS:
+        raise TooLarge(f"{count}^{n} assignments exceed the budget of {HOM_ASSIGNMENTS}"
+                       " (verify.HOM_ASSIGNMENTS)")
+
+
+def _search(g: Graph, count: int, rows, leaf) -> list:
+    """``leaf(choice)`` for every ``choice`` of one of ``count`` candidates per
+    vertex of g under which adjacent vertices get compatible candidates, in
+    vertex order and candidate order.  ``rows()`` gives each candidate's
+    compatible candidates as a bit row; it is called only if g has an edge.
+    More than ``HOM_ASSIGNMENTS`` candidate assignments raise TooLarge first."""
+    n = g.n
+    _check_budget(count, n)
+    earlier = [vertices_of(nb & ((1 << i) - 1)) for i, nb in enumerate(g.adjacency)]
+    related = rows() if any(earlier) else None
+    out = []
     choice = [0] * n
 
     def rec(i: int):
         if i == n:
-            out.append(Morphism(src, tgt, tuple(raws[c] for c in choice)))
-            return
-        allowed = (1 << len(cands)) - 1
-        for j in earlier[i]:
-            allowed &= zero[choice[j]]
-        while allowed:
-            low = allowed & -allowed
-            choice[i] = low.bit_length() - 1
-            rec(i + 1)
-            allowed ^= low
+            out.append(leaf(choice))
+        elif not earlier[i]:
+            for c in range(count):
+                choice[i] = c
+                rec(i + 1)
+        else:
+            allowed = -1
+            for j in earlier[i]:
+                allowed &= related[choice[j - 1]]
+            while allowed:
+                low = allowed & -allowed
+                choice[i] = low.bit_length() - 1
+                rec(i + 1)
+                allowed ^= low
 
     rec(0)
-    return tuple(out)
-
-
-def hom_candidates(src: WeilObject, tgt: WeilObject) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """``enumerate_hom``'s guard: the candidate images of one generator, after
-    refusing with TooLarge a hom-set of more than ``HOM_ASSIGNMENTS``
-    candidate assignments, or a target that ``kappa_candidates`` refuses."""
-    cands = kappa_candidates(tgt.cotree)
-    if len(cands) ** max(src.n, 1) > HOM_ASSIGNMENTS:
-        raise TooLarge(f"{len(cands)}^{src.n} assignments exceed the budget of {HOM_ASSIGNMENTS}"
-                       " (verify.HOM_ASSIGNMENTS)")
-    return cands
+    return out
 
 
 def count_graph_maps(a: Cotree, b: Cotree) -> int:
     """Number of graph maps G_a -> kappa(G_b): vertex assignments under which
     adjacent vertices land on equal or adjacent kappa vertices.
 
-    This is the purely graph-level side of the hom bijection; two kappa
-    vertices are adjacent when the union of their cliques of ind+ is again a
-    clique.  Refuses, as ``kappa_candidates`` does, a ``b`` whose ind+ has
-    more than ``IND_PLUS_GUARD`` vertices.
-    """
+    This is the purely graph-level side of the hom bijection, held to the
+    same budgets as ``enumerate_hom``."""
     ipg = ind_plus(realize(b), IND_PLUS_GUARD).graph
     return len(graph_maps(realize(a), ipg, cliques(ipg)))
 
@@ -145,35 +161,17 @@ def count_graph_maps(a: Cotree, b: Cotree) -> int:
 def graph_maps(g: Graph, ipg: Graph, verts: list[int]) -> list[tuple[int, ...]]:
     """Every graph map g -> kappa = cl(ipg), given kappa's vertices as the
     clique masks ``verts``: one index into ``verts`` per vertex of g, such
-    that adjacent vertices of g get cliques whose union is a clique.
+    that adjacent vertices of g get cliques whose union is a clique."""
 
-    Backtracking in vertex order; each vertex is checked against its
-    lower-numbered neighbours."""
-    # the union of cliques c and d is a clique exactly when c misses every
-    # vertex that some member of d is not adjacent to: d's neighbourhood in
-    # the complement.  A neighbourhood is a union over members, so a vertex
-    # may take c when c misses the neighbourhood of its lower neighbours'
-    # cliques taken together
-    outside = ipg.complement.neighbourhood
-    earlier = [vertices_of(nb & ((1 << i) - 1)) for i, nb in enumerate(g.adjacency)]
-    out: list[tuple[int, ...]] = []
-    choice = [0] * g.n
+    def union_rows():
+        # the union of cliques c and d is a clique exactly when c misses the
+        # neighbourhood of each member of d in the complement of ipg
+        fits = [sum(1 << i for i, c in enumerate(verts) if not c & out)
+                for out in ipg.complement.adjacency]
+        full = (1 << len(verts)) - 1
+        return [reduce(and_, (fits[v - 1] for v in vertices_of(d)), full) for d in verts]
 
-    def rec(i: int):
-        if i == g.n:
-            out.append(tuple(choice))
-            return
-        taken = 0
-        for j in earlier[i]:
-            taken |= verts[choice[j - 1]]
-        forbidden = outside(taken)
-        for idx, c in enumerate(verts):
-            if not c & forbidden:
-                choice[i] = idx
-                rec(i + 1)
-
-    rec(0)
-    return out
+    return _search(g, len(verts), union_rows, tuple)
 
 
 @lru_cache(maxsize=None)
@@ -604,9 +602,10 @@ def check_foundational_pullback(
                 nfac = by_pair.get((img1, tuple(cand_2[c] for c in f2)), 0)
                 if nfac != 1:
                     ok = False
-                    detail = (f"cone ({_kappa_morphism(x, t1_obj, ip1, cand_1, f1)!r}, "
-                              f"{_kappa_morphism(x, t2_obj, ip2, cand_2, f2)!r}) "
-                              f"has {nfac} factorizations")
+                    leg1, leg2 = (mor.from_kleisli(mor.KleisliMap(
+                        x.graph, t.graph, _clique_labels(ip, [cands[c] for c in f])), x, t)
+                        for t, ip, cands, f in ((t1_obj, ip1, cand_1, f1), (t2_obj, ip2, cand_2, f2)))
+                    detail = f"cone ({leg1!r}, {leg2!r}) has {nfac} factorizations"
                     break
             if not ok:
                 break
@@ -635,15 +634,6 @@ def _images(cands: list[int], table: tuple[int, ...]) -> list[int]:
     return [image[c] for c in cands]
 
 
-def _kappa_morphism(x: WeilObject, obj: WeilObject, ip: DerivedGraph, cands: list[int],
-                    choice: tuple[int, ...]) -> Morphism:
-    """The {0,1} morphism x -> obj sending generator i to the sum of the
-    monomials of kappa vertex ``cands[choice[i - 1]]``."""
-    return Morphism(x, obj, tuple(
-        poly_trusted(dict.fromkeys((ip.labels[v - 1] for v in vertices_of(cands[c])), 1))
-        for c in choice))
-
-
 # ---------------------------------------------------------------------------
 # the coherence morphism for composites into nW
 
@@ -657,6 +647,8 @@ def omega_witness(f: Morphism, g: Morphism, resolve: str = "strict"):
     disagree, ``resolve='strict'`` raises ChoiceAmbiguous and
     ``resolve='all'`` returns every resolution (capped).
     """
+    if resolve not in ("strict", "all"):
+        raise ValueError(f"resolve must be 'strict' or 'all', not {resolve!r}")
     if f.rig is not Rig.BOOL2:
         raise RigMismatch("omega is built over the {0,1} rig")
     if f.target != g.source:

@@ -152,13 +152,70 @@ def test_hom_counts_turn_tensor_and_product_into_products():
 
 def test_count_graph_maps_is_guarded():
     # both sides of the hom-count oracle refuse the same inputs, and fast:
-    # ind+(22W) has 4,194,303 vertices
+    # ind+(22W) has 4,194,303 vertices; (4W, 3W) has 40^4 candidate
+    # assignments and 2,560,000 maps, the other two 1376^3
     start = time.perf_counter()
     with pytest.raises(vf.TooLarge):
         vf.count_graph_maps(ct.W, ct.n_tensor(22))
     with pytest.raises(vf.TooLarge):
         vf.enumerate_hom(ct.W, ct.n_tensor(22))
+    for a, b in ((ct.n_tensor(4), ct.n_tensor(3)), (ct.n_tensor(3), ct.n_tensor(4)),
+                 (ct.n_join(3), ct.n_tensor(4))):
+        for side in (vf.count_graph_maps, vf.enumerate_hom):
+            with pytest.raises(vf.TooLarge, match=r"verify\.HOM_ASSIGNMENTS"):
+                side(a, b)
     assert time.perf_counter() - start < 5
+
+
+def forbidden_mask_graph_maps(g, ipg, verts):
+    """Oracle: every graph map g -> cl(ipg) as indices into ``verts``, by
+    backtracking in vertex order over every candidate in list order, keeping
+    those that miss the neighbourhood, in the complement of ``ipg``, of the
+    union of the cliques taken by lower-numbered neighbours."""
+    outside = ipg.complement.neighbourhood
+    earlier = [cg.vertices_of(nb & ((1 << i) - 1)) for i, nb in enumerate(g.adjacency)]
+    out, choice = [], [0] * g.n
+
+    def rec(i):
+        if i == g.n:
+            out.append(tuple(choice))
+            return
+        taken = 0
+        for j in earlier[i]:
+            taken |= verts[choice[j - 1]]
+        forbidden = outside(taken)
+        for idx, c in enumerate(verts):
+            if not c & forbidden:
+                choice[i] = idx
+                rec(i + 1)
+
+    rec(0)
+    return out
+
+
+def test_graph_maps_match_forbidden_mask_oracle():
+    # the same list, in the same order, for every pair up to 3 vertices
+    for a, b in itertools.product(vf.canonical_objects(3), repeat=2):
+        ipg = cg.ind_plus(ct.realize(b)).graph
+        args = (ct.realize(a), ipg, cg.cliques(ipg))
+        assert vf.graph_maps(*args) == forbidden_mask_graph_maps(*args), (a, b)
+
+
+def test_pullback_sweep_graph_maps_match_forbidden_mask_oracle(monkeypatch):
+    # every search of the cone sweep over the default run's squares
+    real = vf.graph_maps
+    searches = []
+
+    def checked(*args):
+        maps = real(*args)
+        searches.append(len(maps))
+        assert maps == forbidden_mask_graph_maps(*args)
+        return maps
+
+    monkeypatch.setattr(vf, "graph_maps", checked)
+    for triple in itertools.product(vf.canonical_objects(2), repeat=3):
+        vf.check_foundational_pullback(*triple, apex_max=2)
+    assert len(searches) > 100 and max(searches) > 1000
 
 
 def test_canonical_objects_counts():
@@ -599,6 +656,8 @@ def test_omega_ambiguous_tracings():
     g = mor.make(W2, W, [{1: 1}, {1: 1}])
     with pytest.raises(vf.ChoiceAmbiguous):
         vf.omega_witness(f, g)
+    with pytest.raises(ValueError, match="resolve"):
+        vf.omega_witness(f, g, resolve="stirct")
     resolutions = vf.omega_witness(f, g, resolve="all")
     assert len(resolutions) == 2
     h = mor.compose(g, f)
@@ -729,3 +788,22 @@ def test_run_verify_small():
         "48a3b2a4e6a9469d74410e8b514ed84f9facc93c3c6328648f80bfc7ddc71214")
     assert any(r.ident.startswith("tangent.Tm") for r in report.results)
     assert any(r.ident.startswith("kleisli.bijection") for r in report.results)
+
+
+# ---------------------------------------------------------------------------
+# the bench tracer's hooks
+
+def test_traced_layers_exist():
+    # perfbench/tracing.py rebinds the functions its LAYERS names; each must
+    # still be a function of its weil1 module
+    import ast
+    import importlib
+    import pathlib
+
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text())
+    (layers,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS"]
+    missing = [f"{mod}.{name}" for mod, names in layers.items() for name in names
+               if not callable(getattr(importlib.import_module(f"weil1.{mod}"), name, None))]
+    assert len(layers) >= 8 and not missing, missing
